@@ -1,0 +1,156 @@
+"""Layer bench for the exact local-CLT DP and the CLI import, before and after.
+
+    python scripts/bench.py --baseline PARENT_CHECKOUT --out OUT.json
+
+Measures, in a fresh process each, the wall time of `import srrw.cli` and of
+`lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
+SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
+above the high-water mark the imports left).  Every tree named (this
+checkout as "change", --baseline as "parent") is run with PYTHONPATH pointing
+at its own src/.  There are REPEATS pairs of runs per case, alternating which
+tree goes first; the medians, every sample and the parent/change ratio of
+each pair go to --out with the CPU count, the numpy and scipy versions, each
+tree's git commit and a sha256 of its src/ files (the commit alone does not
+name an uncommitted tree).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from importlib.metadata import version
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = (100, 200, 400)
+REPEATS = 10
+
+
+def child_import() -> dict:
+    t0 = time.perf_counter()
+    import srrw.cli  # noqa: F401
+
+    return {"wall_s": time.perf_counter() - t0}
+
+
+def child_dp(N: int) -> dict:
+    import resource
+
+    from srrw.lclt import exact_bivariate_pmf, stationary_step_law
+    from srrw.weights import WeightFunction
+
+    law = stationary_step_law(WeightFunction("exponential", (1.0,)))
+    # ru_maxrss is a high-water mark; the imports set the one the DP starts from
+    base_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    t0 = time.perf_counter()
+    pmf = exact_bivariate_pmf(law, N)
+    wall = time.perf_counter() - t0
+    alo, ahi, blo, bhi = pmf.box
+    # computed, not counted: step-law atoms x DP steps x final box cells
+    cells = int((law.probs > 0).sum()) * N * (ahi - alo) * (bhi - blo)
+    peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {
+        "wall_s": wall,
+        "cells": cells,
+        "cells_per_s": cells / wall,
+        "base_rss_mb": base_rss_mb,
+        "peak_rss_mb": peak_rss_mb,
+        "dp_rss_mb": peak_rss_mb - base_rss_mb,
+        "truncated_mass": pmf.truncated_mass,
+    }
+
+
+def measure(tree: Path, what: list) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    proc = subprocess.run([sys.executable, __file__, "--child", *what], env=env,
+                          capture_output=True, text=True, check=True)
+    res = json.loads(proc.stdout)
+    if Path(res.pop("srrw_file")).resolve().parent != tree / "src" / "srrw":
+        raise RuntimeError(f"srrw was not imported from {tree / 'src'}")
+    return res
+
+
+def tree_id(tree: Path) -> dict:
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True).stdout.strip()
+
+    h = hashlib.sha256()
+    for f in sorted((tree / "src").rglob("*.py")):
+        h.update(f.relative_to(tree).as_posix().encode() + b"\0" + f.read_bytes())
+    return {"commit": git("rev-parse", "HEAD") or None, "dirty": bool(git("status", "--porcelain", "--", "src")),
+            "src_sha256": h.hexdigest()}
+
+
+def summary(samples: list) -> dict:
+    out = {"samples": samples}
+    for key in samples[0]:
+        vals = [s[key] for s in samples]
+        out[key] = statistics.median(vals) if isinstance(vals[0], float) else vals[0]
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--baseline", type=Path, default=None, help="checkout of the parent commit")
+    ap.add_argument("--out", type=Path, help="JSON report to write (required)")
+    ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.child:
+        res = child_import() if args.child[0] == "import" else child_dp(int(args.child[1]))
+        import srrw
+
+        print(json.dumps({**res, "srrw_file": srrw.__file__}))
+        return 0
+    if args.out is None:
+        ap.error("--out is required")
+
+    trees = {"change": ROOT}
+    if args.baseline is not None:
+        trees = {"parent": args.baseline.resolve(), **trees}
+    cases = [["import"]] + [["dp", str(n)] for n in SIZES]
+    samples = {label: {" ".join(c): [] for c in cases} for label in trees}
+    for rep in range(REPEATS):
+        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+        for case in cases:
+            for label in order:
+                res = measure(trees[label], case)
+                samples[label][" ".join(case)].append(res)
+                print(f"[{rep}] {label:6s} {' '.join(case):8s} {res['wall_s']:8.3f} s", file=sys.stderr)
+
+    runs = {}
+    for label, tree in trees.items():
+        runs[label] = {
+            **tree_id(tree),
+            "import_srrw_cli": summary(samples[label]["import"]),
+            "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
+        }
+    report = {
+        "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy")},
+        "repeats": REPEATS,
+        "runs": runs,
+    }
+    if "parent" in runs:
+        names = {"import": "import_srrw_cli", **{f"dp {n}": f"exact_bivariate_pmf_N{n}" for n in SIZES}}
+        # median of the parent's wall_s over the change's, and each pair's own ratio
+        report["speedup"] = {}
+        report["pair_speedups"] = {}
+        for case, name in names.items():
+            par = [s["wall_s"] for s in samples["parent"][case]]
+            chg = [s["wall_s"] for s in samples["change"][case]]
+            report["speedup"][name] = statistics.median(par) / statistics.median(chg)
+            report["pair_speedups"][name] = [a / b for a, b in zip(par, chg)]
+    args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(report.get("speedup", {}), indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

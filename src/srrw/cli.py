@@ -113,16 +113,14 @@ def cmd_profile(args) -> int:
     manifest.write(outdir / "manifest.json")
     sampler = RayKnightSampler(args.w)
     y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
+
+    def block(b, count):
+        return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
+
     out = {}
-    done = 0
-    bi = 0
-    while done < args.replicas:
-        count = min(65536, args.replicas - done)
-        got = sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, bi), y_lo, y_hi)
+    for got in map_blocks(args.replicas, 65536, args.threads, block):
         for y, vals in got.items():
             out.setdefault(y, []).append(vals)
-        done += count
-        bi += 1
     rows = []
     for y in sorted(out):
         vals = np.concatenate(out[y]).astype(np.float64)
@@ -140,14 +138,14 @@ def cmd_profile(args) -> int:
 
 
 def cmd_lclt(args) -> int:
+    if args.law != "from-stationary":
+        print(f"unknown step law {args.law!r}", file=sys.stderr)
+        return USAGE_ERROR
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "N": args.N, "law": args.law, "box": args.box, "stride": args.stride}
     manifest = RunManifest("lclt", config, args.seed, __version__)
     manifest.write(outdir / "manifest.json")
-    if args.law != "from-stationary":
-        print(f"unknown step law {args.law!r}", file=sys.stderr)
-        return USAGE_ERROR
     step_law = stationary_step_law(args.w)
     pmf = exact_bivariate_pmf(step_law, args.N)
     comparison = lclt_sup_error(pmf, u_max=args.box, v_max=args.box)
@@ -251,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, seed_default=0):
         sp.add_argument("--out", default=None, help="output directory (default: timestamped)")
         sp.add_argument("--seed", type=int, default=seed_default)
-        sp.add_argument("--threads", type=int, default=None)
 
     sp = sub.add_parser("simulate", help="simulate one walk, dump local times")
     sp.add_argument("--w", type=_weight, required=True, help="exp:RATE | ramp:SLOPE:FLOOR | table:Z0:v,v,...")
@@ -270,6 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--x", type=int, default=0)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--replicas", type=int, default=10_000)
+    sp.add_argument("--threads", type=int, default=1, help="worker threads")
     common(sp)
     sp.set_defaults(func=cmd_profile)
 
@@ -292,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--manifest", default=None, help="re-run a previous campaign manifest")
     sp.add_argument("--param", action="append", default=None, metavar="KEY=JSON",
                     help="extra config field, e.g. --param n_ladder=[50,100]")
+    sp.add_argument("--threads", type=int, default=None, help="worker threads (default: the config's)")
     common(sp)
     sp.set_defaults(func=cmd_campaign)
     return p

@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from . import vectorwalk as vw
 from .rayknight import RayKnightSampler
@@ -79,7 +78,10 @@ def upper95(hits: int, n: int) -> float:
     """Clopper-Pearson 95% upper confidence bound for a binomial frequency."""
     if hits >= n:
         return 1.0
-    return float(beta_dist.ppf(0.95, hits + 1, n - hits))
+    # scipy.stats takes most of a second to import; only the tail campaigns need it
+    from scipy.stats import beta
+
+    return float(beta.ppf(0.95, hits + 1, n - hits))
 
 
 def ks_vs_uniform(values: np.ndarray, counts: np.ndarray, scale: float) -> float:
@@ -515,7 +517,7 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None
     if cross_rows:
         tables["inverse_time_cross"] = cross_rows
     report = StatsReport(kind="inverse_time", config=cfg.to_dict(), tables=tables, checks=checks,
-                         replicas_total=(cfg.replicas + cfg.cross_replicas) * len(ms))
+                         replicas_total=cfg.replicas * len(ms) + cfg.cross_replicas)
     report.wall_clock_s = watch.elapsed()
     return report
 

@@ -7,6 +7,12 @@ correlation, which keeps the grid small).  Everything downstream (bivariate
 and conditional Gaussian comparisons, the discrete-Gaussian convolution
 bound) evaluates against this law.
 
+The DP is cache-blocked: each step fills the target box one tile of rows at
+a time (about _TILE_CELLS cells), adding every step-law atom into the tile
+while it is still in cache.  Every cell still starts from zero and receives
+its atoms one at a time in the step law's order, so the array, the box and
+truncated_mass are bit-for-bit those of a plain whole-box update.
+
 The limiting density of (Y/sqrt(N), S/N^{3/2}) has covariance
 sigma^2 * [[1, 1/2], [1/2, 1/3]]; inverting gives the quadratic form
 (2/sigma^2)(u^2 + 3v^2 - 3uv), i.e. the cross term is negative.  The +3uv
@@ -26,6 +32,7 @@ from .weights import WeightFunction
 
 DEFAULT_SD_CAP = 8.5
 _CLIP_SLACK = 48
+_TILE_CELLS = 1 << 16  # cells per target row tile of the DP (512 KiB of float64)
 
 
 def stationary_step_law(
@@ -171,6 +178,7 @@ def exact_bivariate_pmf(
     center_a, center_b = HA // 2, HB // 2
     cur = np.zeros((HA, HB))
     nxt = np.zeros((HA, HB))
+    scratch = np.empty(max(_TILE_CELLS, HB))
     cur[center_a, center_b] = 1.0
     alo = ahi = center_a
     blo = bhi = center_b
@@ -191,8 +199,8 @@ def exact_bivariate_pmf(
         ta_hi = min(ahi + int(shift_a.max()), center_a + clip_a + 1)
         tb_lo = max(blo + int(shift_b.min()), center_b - clip_b)
         tb_hi = min(bhi + int(shift_b.max()), center_b + clip_b + 1)
-        nxt[ta_lo:ta_hi, tb_lo:tb_hi] = 0.0
-        for hi_, pi, sa, sb in zip(h, p, shift_a, shift_b):
+        moves = []  # (pi, sa, sb, source sub-box) of the atoms that land
+        for pi, sa, sb in zip(p, shift_a, shift_b):
             sa, sb = int(sa), int(sb)
             # source sub-box whose image lands inside the clipped target
             sa_lo = max(alo, ta_lo - sa)
@@ -202,8 +210,7 @@ def exact_bivariate_pmf(
             if sa_lo >= sa_hi or sb_lo >= sb_hi:
                 truncated += pi * float(cur[alo:ahi, blo:bhi].sum())
                 continue
-            block = cur[sa_lo:sa_hi, sb_lo:sb_hi]
-            nxt[sa_lo + sa:sa_hi + sa, sb_lo + sb:sb_hi + sb] += pi * block
+            moves.append((pi, sa, sb, sa_lo, sa_hi, sb_lo, sb_hi))
             # clipped-off mass lives in the thin edge strips of the source box
             if (sa_lo, sa_hi, sb_lo, sb_hi) != (alo, ahi, blo, bhi):
                 off = (
@@ -213,6 +220,21 @@ def exact_bivariate_pmf(
                     + float(cur[sa_lo:sa_hi, sb_hi:bhi].sum())
                 )
                 truncated += pi * off
+        # one row tile of the target at a time, so it stays in cache while
+        # every atom adds into it; atoms keep their order within each cell
+        tile_rows = max(1, _TILE_CELLS // (tb_hi - tb_lo))
+        for r0 in range(ta_lo, ta_hi, tile_rows):
+            r1 = min(r0 + tile_rows, ta_hi)
+            nxt[r0:r1, tb_lo:tb_hi] = 0.0
+            for pi, sa, sb, sa_lo, sa_hi, sb_lo, sb_hi in moves:
+                lo = max(r0, sa_lo + sa)
+                hi = min(r1, sa_hi + sa)
+                if lo >= hi:
+                    continue
+                tgt = nxt[lo:hi, sb_lo + sb:sb_hi + sb]
+                tmp = scratch[:tgt.size].reshape(tgt.shape)
+                np.multiply(cur[lo - sa:hi - sa, sb_lo:sb_hi], pi, out=tmp)
+                np.add(tgt, tmp, out=tgt)
         cur, nxt = nxt, cur
         alo, ahi, blo, bhi = ta_lo, ta_hi, tb_lo, tb_hi
         par_a, par_b = par_a_new, par_b_new

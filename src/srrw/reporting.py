@@ -67,6 +67,10 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
+    def __post_init__(self):
+        # a comparison of numpy scalars yields numpy.bool_, which json cannot write
+        self.passed = bool(self.passed)
+
 
 @dataclass
 class StatsReport:

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -59,6 +60,25 @@ def test_profile_command(tmp_path):
     assert by_y[0] == 3.0
 
 
+def test_profile_threads_byte_identical(tmp_path):
+    # three 65536-replica blocks, so the thread pool really splits the work
+    common = ["profile", "--w", "exp:1.0", "--m", "2", "--replicas", "140000", "--seed", "5"]
+    assert run_cli(common + ["--out", str(tmp_path / "t1")]) == 0
+    assert run_cli(common + ["--threads", "2", "--out", str(tmp_path / "t2")]) == 0
+    assert (tmp_path / "t1" / "profile.csv").read_bytes() == (tmp_path / "t2" / "profile.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--w", "exp:1.0", "--steps", "5"],
+    ["stationary", "--w", "exp:1.0"],
+    ["lclt", "--N", "5"],
+])
+def test_threads_only_where_used(tmp_path, command):
+    with pytest.raises(SystemExit) as ei:
+        run_cli(command + ["--threads", "2", "--out", str(tmp_path / "x")])
+    assert ei.value.code == 2
+
+
 def test_lclt_command(tmp_path):
     out = tmp_path / "l"
     assert run_cli(["lclt", "--N", "25", "--out", str(out)]) == 0
@@ -67,6 +87,12 @@ def test_lclt_command(tmp_path):
     grid = (out / "lclt_grid.csv").read_text().splitlines()
     assert grid[0] == "a,b,exact,predicted,scaled_error"
     assert len(grid) > 10
+
+
+def test_lclt_bad_law_writes_nothing(tmp_path):
+    out = tmp_path / "bogus"
+    assert run_cli(["lclt", "--N", "5", "--law", "bogus", "--out", str(out)]) == 2
+    assert not (out / "manifest.json").exists()
 
 
 def test_lclt_tolerance_exit(tmp_path):
@@ -92,8 +118,33 @@ def test_campaign_and_manifest_rerun(tmp_path):
     assert r1 == r2
 
 
+def test_inverse_time_campaign_writes_outputs(tmp_path):
+    out = tmp_path / "it"
+    code = run_cli([
+        "campaign", "--kind", "inverse-time", "--seed", "3", "--replicas", "4000",
+        "--param", "n=8", "--param", "c_targets=[0.0,1.0]", "--param", "cross_replicas=2000",
+        "--out", str(out),
+    ])
+    assert code in (0, 1)
+    results = json.loads((out / "results.json").read_text())
+    assert results["replicas_total"] == 2 * 4000 + 2000
+    assert all(isinstance(c["passed"], bool) for c in results["checks"])
+    assert any(c["name"].startswith("inverse_time_cross_m") for c in results["checks"])
+    for name in ("inverse_time", "inverse_time_cross", "riemann"):
+        with open(out / f"{name}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and len(rows) == len(results["tables"][name])
+
+
 def test_campaign_requires_kind_or_manifest(tmp_path):
     assert run_cli(["campaign", "--out", str(tmp_path / "x")]) == 2
+
+
+def test_cli_import_skips_scipy():
+    # scipy.stats costs most of a second to import; only tail bounds need it
+    code = "import sys, srrw.cli; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_entry_point():

@@ -109,9 +109,12 @@ def test_wterms_smoke():
 
 
 def test_inverse_time_small():
-    cfg = InverseTimeConfig(master_seed=9, n=12, x=0, c_targets=(0.0,),
+    cfg = InverseTimeConfig(master_seed=9, n=12, x=0, c_targets=(0.0, 1.0),
                             replicas=40_000, cross_replicas=20_000)
     rep = inverse_time_asymptotics(cfg)
+    # the walk cross-check runs once for all levels
+    assert len(rep.tables["inverse_time"]) == 2
+    assert rep.replicas_total == 2 * 40_000 + 20_000
     riemann = rep.tables["riemann"][0]
     assert riemann["abs_error"] < 0.01
     row = rep.tables["inverse_time"][0]

@@ -57,6 +57,42 @@ def test_n2_product_identity(probs):
             assert pmf.prob(a, b) == pytest.approx(want, abs=1e-15)
 
 
+def dict_convolution_law(law, N):
+    """Joint law of (2Y, 2S) by plain convolution over the atoms, keyed by integers."""
+    atoms = [(int(round(2 * v)), float(q)) for v, q in zip(law.values(), law.probs) if q > 0]
+    joint = {(0, 0): 1.0}
+    for j in range(1, N + 1):
+        nxt = {}
+        for (y2, s2), q in joint.items():
+            for x2, px in atoms:
+                key = (y2 + x2, s2 + j * x2)
+                nxt[key] = nxt.get(key, 0.0) + q * px
+        joint = nxt
+    return joint
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_dp_matches_dict_convolution(step_law, N):
+    skewed = Lattice1DDistribution(-2, np.array([0.1, 0.25, 0.05, 0.4, 0.2]), 0.5)
+    for law in (step_law, skewed):
+        pmf = exact_bivariate_pmf(law, N)
+        joint = dict_convolution_law(law, N)
+        vals = law.values()
+        lo_y, hi_y = round(2 * N * vals[0]), round(2 * N * vals[-1])
+        lo_s, hi_s = round(N * (N + 1) * vals[0]), round(N * (N + 1) * vals[-1])
+        # every lattice point of the support's bounding box, zero-mass ones too;
+        # the box corners (N * min, N(N+1)/2 * min) lie on the lattice
+        visited = 0.0
+        for y2 in range(lo_y, hi_y + 1, 2):
+            for s2 in range(lo_s, hi_s + 1, 2):
+                want = joint.get((y2, s2), 0.0)
+                assert abs(pmf.prob(y2 / 2, s2 / 2) - want) <= 1e-15
+                visited += want
+        # the sweep met all of the mass, and so did the DP
+        assert visited == pytest.approx(1.0, abs=1e-14)
+        assert pmf.total_mass() == pytest.approx(1.0, abs=1e-14)
+
+
 def test_mass_conserved_n100(pmf100):
     assert pmf100.total_mass() + pmf100.truncated_mass == pytest.approx(1.0, abs=1e-12)
     assert pmf100.total_mass() == pytest.approx(1.0, abs=1e-12)
