@@ -1,8 +1,11 @@
-"""Layer bench for the exact local-CLT DP and the CLI import, before and after.
+"""Layer bench for the lockstep walk, the exact local-CLT DP and the CLI import, before and after.
 
     python scripts/bench.py --baseline PARENT_CHECKOUT --out OUT.json
 
-Measures, in a fresh process each, the wall time of `import srrw.cli` and of
+Measures, in a fresh process each, the wall time of `import srrw.cli`, of
+one single-threaded `vectorwalk.final_positions` block of WALK_REPLICAS exp:1
+walks over WALK_STEPS steps (replica-steps/s alongside, and a sha256 of the
+final positions, which must agree between trees), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
 above the high-water mark the imports left).  Every tree named (this
@@ -30,6 +33,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 200, 400)
+WALK_REPLICAS = 65536
+WALK_STEPS = 400
 REPEATS = 10
 
 
@@ -38,6 +43,22 @@ def child_import() -> dict:
     import srrw.cli  # noqa: F401
 
     return {"wall_s": time.perf_counter() - t0}
+
+
+def child_walk() -> dict:
+    from srrw.harness import substream
+    from srrw.vectorwalk import final_positions
+    from srrw.weights import WeightFunction
+
+    w = WeightFunction("exponential", (1.0,))
+    t0 = time.perf_counter()
+    pos, _, _ = final_positions(w, WALK_STEPS, WALK_REPLICAS, substream(1, 0))
+    wall = time.perf_counter() - t0
+    return {
+        "wall_s": wall,
+        "replica_steps_per_s": WALK_REPLICAS * WALK_STEPS / wall,
+        "positions_sha256": hashlib.sha256(pos.tobytes()).hexdigest(),
+    }
 
 
 def child_dp(N: int) -> dict:
@@ -103,7 +124,12 @@ def main(argv=None) -> int:
     ap.add_argument("--child", nargs="+", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        res = child_import() if args.child[0] == "import" else child_dp(int(args.child[1]))
+        if args.child[0] == "import":
+            res = child_import()
+        elif args.child[0] == "walk":
+            res = child_walk()
+        else:
+            res = child_dp(int(args.child[1]))
         import srrw
 
         print(json.dumps({**res, "srrw_file": srrw.__file__}))
@@ -114,7 +140,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"]] + [["dp", str(n)] for n in SIZES]
+    cases = [["import"], ["walk"]] + [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     for rep in range(REPEATS):
         order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
@@ -129,16 +155,19 @@ def main(argv=None) -> int:
         runs[label] = {
             **tree_id(tree),
             "import_srrw_cli": summary(samples[label]["import"]),
+            "final_positions": summary(samples[label]["walk"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
         }
     report = {
         "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy")},
         "repeats": REPEATS,
+        "walk": {"replicas": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 1},
         "runs": runs,
     }
     if "parent" in runs:
-        names = {"import": "import_srrw_cli", **{f"dp {n}": f"exact_bivariate_pmf_N{n}" for n in SIZES}}
+        names = {"import": "import_srrw_cli", "walk": f"final_positions_R{WALK_REPLICAS}_T{WALK_STEPS}",
+                 **{f"dp {n}": f"exact_bivariate_pmf_N{n}" for n in SIZES}}
         # median of the parent's wall_s over the change's, and each pair's own ratio
         report["speedup"] = {}
         report["pair_speedups"] = {}

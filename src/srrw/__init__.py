@@ -2,6 +2,7 @@
 self-repelling random walk."""
 
 from .errors import (
+    CampaignConfigError,
     ConvergenceError,
     DivergingTailError,
     EvaluationRangeError,

@@ -195,7 +195,6 @@ def cmd_lclt(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    outdir = _outdir(args)
     t0 = time.perf_counter()
     if args.manifest:
         loaded = RunManifest.load(args.manifest)
@@ -224,12 +223,17 @@ def cmd_campaign(args) -> int:
         if args.param:
             for kv in args.param:
                 key, _, val = kv.partition("=")
-                cfg_dict[key] = json.loads(val)
+                try:
+                    cfg_dict[key] = json.loads(val)
+                except json.JSONDecodeError as exc:
+                    print(f"error: --param {kv!r} is not KEY=JSON: {exc}", file=sys.stderr)
+                    return USAGE_ERROR
         try:
             cfg = config_from_dict(cfg_dict)
         except (KeyError, TypeError) as exc:
             print(f"bad campaign config: {exc}", file=sys.stderr)
             return USAGE_ERROR
+    outdir = _outdir(args)
     manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, __version__)
     manifest.write(outdir / "manifest.json")
     report = run_campaign(cfg)

@@ -35,3 +35,7 @@ class SupportBudgetError(SrrwError):
 
 class SimulationBudgetError(SrrwError):
     """A single simulation run exceeds the per-run step budget."""
+
+
+class CampaignConfigError(SrrwError, ValueError):
+    """Campaign parameters rejected before any work is done."""

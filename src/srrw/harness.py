@@ -19,7 +19,8 @@ from importlib import resources
 import numpy as np
 
 from . import vectorwalk as vw
-from .rayknight import RayKnightSampler
+from .errors import CampaignConfigError
+from .rayknight import RayKnightSampler, tail_probe_site
 from .reporting import CheckResult, StatsReport, Stopwatch
 from .scaling import beta_n as beta_n_formula
 from .scaling import theta
@@ -150,6 +151,12 @@ class TailConfig(CampaignConfig):
     cross_m: int = 50
     cross_replicas: int = 4_000
 
+    def __post_init__(self):
+        g = GROWTH_FUNCTIONS[self.growth]
+        for m in self.m_ladder:
+            if tail_probe_site(m, g(m)) < 1:
+                raise CampaignConfigError(f"tails: m={m} is too small for the {self.growth} growth function")
+
 
 @dataclass(frozen=True)
 class InverseTimeConfig(CampaignConfig):
@@ -161,6 +168,10 @@ class InverseTimeConfig(CampaignConfig):
     cross_replicas: int = 1_000_000
     riemann_n: int = 10_000
     riemann_K: float = 6.0
+
+    def __post_init__(self):
+        if (self.x - self.n * self.n) % 2 != 0:
+            raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
 
 
 @dataclass(frozen=True)
@@ -198,6 +209,29 @@ def run_campaign(cfg: CampaignConfig) -> StatsReport:
 # -- endpoint law (diffusive limit) ---------------------------------------------
 
 
+def position_histogram(cfg, w: WeightFunction, steps: int, kind: int, point: int):
+    """Counts {x: replicas with X(steps) = x} for one campaign point.
+
+    Runs cfg.replicas walks, cut to fit cfg.budget_steps replica-steps;
+    block b draws from substream (kind, point, b).  Returns (counts,
+    replicas run, whether the budget cut them).
+    """
+    replicas = cfg.replicas
+    partial = bool(cfg.budget_steps and steps * replicas > cfg.budget_steps)
+    if partial:
+        replicas = max(cfg.budget_steps // steps, 1)
+
+    def block(b, count):
+        pos, _, _ = vw.final_positions(w, steps, count, substream(cfg.master_seed, kind, point, b))
+        return np.unique(pos, return_counts=True)
+
+    counter: dict = {}
+    for vals, cnts in map_blocks(replicas, cfg.block_size, cfg.threads, block):
+        for v, c in zip(vals.tolist(), cnts.tolist()):
+            counter[v] = counter.get(v, 0) + c
+    return counter, replicas, partial
+
+
 def endpoint_law(cfg: EndpointConfig, expectations: dict | None = None) -> StatsReport:
     """Empirical law of X(n^2)/n against U(-1,1) along the n ladder."""
     watch = Stopwatch()
@@ -207,22 +241,7 @@ def endpoint_law(cfg: EndpointConfig, expectations: dict | None = None) -> Stats
     ks_values = []
     total = 0
     for ip, n in enumerate(cfg.n_ladder):
-        steps = n * n
-        replicas = cfg.replicas
-        partial = False
-        if cfg.budget_steps and steps * replicas > cfg.budget_steps:
-            replicas = max(cfg.budget_steps // steps, 1)
-            partial = True
-        counter: dict = {}
-
-        def block(b, count, _n=n, _ip=ip, _steps=steps):
-            pos, _, _ = vw.final_positions(w, _steps, count, substream(cfg.master_seed, KIND_ENDPOINT, _ip, b))
-            vals, cnts = np.unique(pos, return_counts=True)
-            return vals, cnts
-
-        for vals, cnts in map_blocks(replicas, cfg.block_size, cfg.threads, block):
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counter[v] = counter.get(v, 0) + c
+        counter, replicas, partial = position_histogram(cfg, w, n * n, KIND_ENDPOINT, ip)
         total += replicas
         values = np.array(sorted(counter))
         counts = np.array([counter[v] for v in values.tolist()], dtype=np.int64)
@@ -258,21 +277,7 @@ def local_clt_table(cfg: LcltTableConfig) -> StatsReport:
     w = cfg.weight_fn()
     n = cfg.n
     steps = n * n
-    replicas = cfg.replicas
-    partial = False
-    if cfg.budget_steps and steps * replicas > cfg.budget_steps:
-        replicas = max(cfg.budget_steps // steps, 1)
-        partial = True
-    counter: dict = {}
-
-    def block(b, count):
-        pos, _, _ = vw.final_positions(w, steps, count, substream(cfg.master_seed, KIND_LCLT_TABLE, 0, b))
-        vals, cnts = np.unique(pos, return_counts=True)
-        return vals, cnts
-
-    for vals, cnts in map_blocks(replicas, cfg.block_size, cfg.threads, block):
-        for v, c in zip(vals.tolist(), cnts.tolist()):
-            counter[v] = counter.get(v, 0) + c
+    counter, replicas, partial = position_histogram(cfg, w, steps, KIND_LCLT_TABLE, 0)
 
     x_max = int(n - n**cfg.alpha)
     parity = steps % 2
@@ -437,8 +442,6 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None
     exp = expectations or load_expectations()
     w = cfg.weight_fn()
     n, x = cfg.n, cfg.x
-    if (x - n * n) % 2 != 0:
-        raise ValueError("x must share the parity of n^2")
     sampler = RayKnightSampler(w)
     s2 = sampler.sigma2 if sigma2 is None else sigma2
     bn = beta_n_formula(n, x, s2)

@@ -58,6 +58,11 @@ class ProfileSample:
         return 0
 
 
+def tail_probe_site(m: int, g_m: float) -> int:
+    """Site 2m - 4 sqrt(m g) probed by the l_gt/l_lt tail events; it must be >= 1."""
+    return int(2 * m - 4.0 * math.sqrt(m * g_m))
+
+
 class RayKnightSampler:
     """Batch profile sampler for one weight function.
 
@@ -196,7 +201,7 @@ class RayKnightSampler:
         rng = _as_generator(seed)
         R = replicas
         sqrt_mg = math.sqrt(m * g_m)
-        x0 = int(2 * m - 4.0 * sqrt_mg)
+        x0 = tail_probe_site(m, g_m)
         if x0 < 1:
             raise ValueError("m too small for the configured growth function")
         s_rho = math.ceil(2 * m + math.sqrt(m) * g_m)

@@ -1,19 +1,21 @@
-"""Batched walk simulation kernels.
+"""Batched walk simulation: one lockstep engine, `_Lockstep.run`, and three drivers.
 
-The step rule only needs the signed difference d = l+ - l- at the current
-site, so a batch of replicas is advanced in lockstep with a dense per-replica
-d-array over a site window and a precomputed p_right table over d.  Window
-and table sizes are guesses; on overflow the block is re-run deterministically
-with doubled capacity (same seed, same draw layout).
+The step rule only needs d = l+ - l- at the current site, so each replica of
+a block keeps a row of `width` sites in one flat int16 array and all rows
+step together, one uniform each per step.  A driver's hook sees each row's old
+position and sign and returns the rows it is done with; they keep stepping
+until a quarter of the block is done, then the block is compacted.  Window
+and depth are guesses: on overflow the block is re-run from its seed with
+doubled capacity, and as p_right(d) does not depend on it, with the same output.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationBudgetError
 from .walk import _as_generator
 from .weights import WeightFunction
 
@@ -30,77 +32,93 @@ def default_width(steps: int) -> int:
     return 2 * (int(3.5 * math.sqrt(max(steps, 4))) + 48)
 
 
-def _p_table(w: WeightFunction, dmax: int) -> np.ndarray:
-    return w.p_right_table(dmax)
-
-
 def _retrying(fn, width: int, dmax: int, max_doublings: int = 10):
     for _ in range(max_doublings):
+        if dmax > np.iinfo(np.int16).max:
+            # D stays within +-(dmax - 1), which int16 holds only up to here
+            raise SimulationBudgetError(f"signed edge differences would exceed int16 (depth {dmax})")
         try:
             return fn(width, dmax)
         except _NeedWider:
             width *= 2
         except _NeedDeeper:
             dmax *= 2
-    raise RuntimeError("simulation kept overflowing its site window")
+    raise SimulationBudgetError(f"simulation kept overflowing its site window after {max_doublings} tries")
 
 
-@dataclass
-class _Batch:
-    pos: np.ndarray
-    D: np.ndarray
-    off: int
-    ptab: np.ndarray
-    dmax: int
-    rng: np.random.Generator
-    LP: np.ndarray | None = None
+class _Lockstep:
+    """Flat state of one block of replicas, all started at site 0."""
 
-    def step(self):
-        """Advance every replica one step; returns (old_pos, signs)."""
-        pos = self.pos
-        if len(pos) and int(np.abs(pos).max()) >= self.off - 1:
-            raise _NeedWider
-        rows = np.arange(len(pos))
-        cols = pos + self.off
-        d = self.D[rows, cols]
-        if len(pos) and int(np.abs(d).max()) >= self.dmax - 1:
-            raise _NeedDeeper
-        p = self.ptab[d.astype(np.int64) + self.dmax]
-        u = self.rng.random(len(pos))
-        s = np.where(u < p, 1, -1).astype(np.int16)
-        self.D[rows, cols] = d + s
+    def __init__(self, w: WeightFunction, replicas: int, width: int, dmax: int, seed,
+                 want_lplus: bool = False, d_init=None):
+        self.rng = _as_generator(seed)
+        self.dmax, self.width, self.off = dmax, width, width // 2
+        # p_right(d) at index d, negative d wrapping from the end
+        self.ptab = np.roll(w.p_right_table(dmax), -dmax)
+        self.base = np.arange(replicas) * width + self.off  # flat index of site 0, per row
+        self.D = np.zeros(replicas * width, dtype=np.int16)
+        for site, val in (d_init or {}).items():
+            self.D[self.base + site] = val
+        self.LP = np.zeros(replicas * width, dtype=np.int32) if want_lplus else None
+        self.fi = self.base.copy()  # flat index of the current site, per row
+        # replica id and finished mark per row; only runs with a hook retire rows
+        self.idx = self.retired = None
+
+    def positions(self) -> np.ndarray:
+        return self.fi - self.base
+
+    def run(self, steps: int, on_step=None) -> None:
+        """Advance up to `steps` steps.  on_step(t, old, s) after step t gets
+        each row's old position and sign and returns finished rows or None;
+        the run ends early once every row is finished."""
+        n = len(self.fi)
+        if on_step is not None:
+            self.idx, self.retired = np.arange(n), np.zeros(n, dtype=bool)
+        if not n:
+            return
+        u = np.empty(n)
+        check_at = 1
+        for t in range(1, steps + 1):
+            if t >= check_at:
+                pos = self.positions()
+                reach = max(int(pos.max()), -int(pos.min()))
+                if reach >= self.off - 1:
+                    raise _NeedWider
+                # a replica moves one site per step, so none meets the edge sooner
+                check_at = t + self.off - 1 - reach
+            fi = self.fi
+            d = self.D[fi]
+            if d.max() >= self.dmax - 1 or d.min() <= 1 - self.dmax:
+                raise _NeedDeeper
+            p = self.ptab[d.astype(np.intp)]
+            self.rng.random(out=u)
+            right = u < p
+            s = 2 * right.astype(np.int16) - 1
+            self.D[fi] = d + s
+            if self.LP is not None:
+                self.LP[fi] += right
+            old = fi - self.base if on_step else None
+            fi += s
+            done = on_step(t, old, s) if on_step else None
+            if done is None or not len(done):
+                continue
+            self.retired[done] = True
+            if self.retired.sum() >= 0.25 * len(self.idx):
+                self._compact()
+                if not len(self.idx):
+                    return
+                u = u[: len(self.idx)]
+
+    def _compact(self) -> None:
+        keep = ~self.retired
+        pos = self.positions()[keep]
+        self.D = self.D.reshape(-1, self.width)[keep].ravel()
         if self.LP is not None:
-            right = s > 0
-            self.LP[rows[right], cols[right]] += 1
-        old = pos.copy()
-        self.pos = pos + s
-        return old, s
-
-    def compact(self, keep: np.ndarray):
-        self.pos = self.pos[keep]
-        self.D = self.D[keep]
-        if self.LP is not None:
-            self.LP = self.LP[keep]
-
-
-def _new_batch(w, replicas, width, dmax, seed, want_lplus=False, d_init=None):
-    rng = _as_generator(seed)
-    ptab = _p_table(w, dmax)
-    off = width // 2
-    D = np.zeros((replicas, width), dtype=np.int16)
-    if d_init:
-        for site, val in d_init.items():
-            D[:, site + off] = val
-    LP = np.zeros((replicas, width), dtype=np.int32) if want_lplus else None
-    return _Batch(
-        pos=np.zeros(replicas, dtype=np.int64),
-        D=D,
-        off=off,
-        ptab=ptab,
-        dmax=dmax,
-        rng=rng,
-        LP=LP,
-    )
+            self.LP = self.LP.reshape(-1, self.width)[keep].ravel()
+        self.idx = self.idx[keep]
+        self.retired = np.zeros(len(self.idx), dtype=bool)
+        self.base = np.arange(len(self.idx)) * self.width + self.off
+        self.fi = self.base + pos
 
 
 def final_positions(w: WeightFunction, steps: int, replicas: int, seed, want_lplus: bool = False,
@@ -114,35 +132,30 @@ def final_positions(w: WeightFunction, steps: int, replicas: int, seed, want_lpl
     snap_at = set(int(s) for s in snapshots)
 
     def run(width, dmax):
-        b = _new_batch(w, replicas, width, dmax, seed, want_lplus=want_lplus)
+        walk = _Lockstep(w, replicas, width, dmax, seed, want_lplus=want_lplus)
         snaps = {}
-        for t in range(1, steps + 1):
-            b.step()
+
+        def snap(t, old, s):
             if t in snap_at:
-                snaps[t] = b.pos.copy()
-        out = (b.pos.copy(), (None if b.LP is None else b.LP.copy()), -b.off)
+                snaps[t] = walk.positions()
+
+        walk.run(steps, snap if snap_at else None)
+        lplus = None if walk.LP is None else walk.LP.reshape(replicas, width)
+        out = (walk.positions(), lplus, -walk.off)
         return out + (snaps,) if snap_at else out
 
     return _retrying(run, default_width(steps), 96)
 
 
-def edge_hit_times(
-    w: WeightFunction,
-    edge_site: int,
-    levels,
-    replicas: int,
-    seed,
-    t_cap: int,
-    capture_window=None,
-    width0: int | None = None,
-):
+def edge_hit_times(w: WeightFunction, edge_site: int, levels, replicas: int, seed, t_cap: int,
+                   capture_window=None, width0: int | None = None):
     """First times the directed edge edge_site -> edge_site+1 is crossed
     `levels[i]` times, walked in lockstep up to t_cap steps.
 
     Returns (times, profiles, unfinished):
       times: (replicas, len(levels)) int64, -1 where not attained by t_cap
-      profiles: dict y -> l+(T_final, y) per replica (only with
-        capture_window=(y_lo, y_hi); recorded when the last level is hit)
+      profiles: (replicas, y_hi - y_lo + 1) int64, l+(T_final, y) for y in
+        capture_window=(y_lo, y_hi), recorded when the last level is hit
       unfinished: replicas that did not hit the last level within t_cap
     """
     levels = [int(m) for m in levels]
@@ -152,42 +165,38 @@ def edge_hit_times(
     lev = np.array(levels, dtype=np.int64)
 
     def run(width, dmax):
-        b = _new_batch(w, replicas, width, dmax, seed, want_lplus=capture_window is not None)
+        walk = _Lockstep(w, replicas, width, dmax, seed, want_lplus=capture_window is not None)
         times = np.full((replicas, L), -1, dtype=np.int64)
         prof = None
         if capture_window is not None:
             y_lo, y_hi = capture_window
-            prof = np.zeros((replicas, y_hi - y_lo + 1), dtype=np.int64)
-        idx = np.arange(replicas)  # original replica id per active row
+            if y_lo < -walk.off or y_hi >= width - walk.off:
+                raise _NeedWider
+            ys = np.arange(y_lo, y_hi + 1)
+            prof = np.zeros((replicas, len(ys)), dtype=np.int64)
+        # per replica id: crossings so far and the index of the next level
         cnt = np.zeros(replicas, dtype=np.int64)
-        nxt = np.zeros(replicas, dtype=np.int64)  # index into levels
-        retired = np.zeros(replicas, dtype=bool)
-        for t in range(1, t_cap + 1):
-            old, s = b.step()
-            crossed = (old == edge_site) & (s > 0)
-            if crossed.any():
-                cnt[crossed] += 1
-                hit = crossed & (nxt < L)
-                hit[hit] = cnt[hit] == lev[np.minimum(nxt[hit], L - 1)]
-                if hit.any():
-                    times[idx[hit], nxt[hit]] = t
-                    nxt[hit] += 1
-                    done = hit & (nxt == L)
-                    if done.any():
-                        if prof is not None:
-                            cols = np.arange(y_lo, y_hi + 1) + b.off
-                            prof[idx[done]] = b.LP[np.ix_(done.nonzero()[0], cols)]
-                        retired |= done
-                        # compact lazily: finished replicas keep stepping
-                        # harmlessly until a quarter of the batch is done
-                        if retired.sum() >= 0.25 * len(idx):
-                            keep = ~retired
-                            b.compact(keep)
-                            idx, cnt, nxt = idx[keep], cnt[keep], nxt[keep]
-                            retired = np.zeros(len(idx), dtype=bool)
-                            if len(idx) == 0:
-                                break
-        return times, prof, idx[~retired].copy()
+        nxt = np.zeros(replicas, dtype=np.int64)
+
+        def on_step(t, old, s):
+            rows = np.flatnonzero((old == edge_site) & (s > 0))
+            if not len(rows):
+                return None
+            ids = walk.idx[rows]
+            cnt[ids] += 1
+            k = nxt[ids]
+            hit = k < L
+            hit[hit] = cnt[ids[hit]] == lev[k[hit]]
+            rows, ids = rows[hit], ids[hit]
+            times[ids, nxt[ids]] = t
+            nxt[ids] += 1
+            fin = nxt[ids] == L
+            if prof is not None and fin.any():
+                prof[ids[fin]] = walk.LP[walk.base[rows[fin]][:, None] + ys]
+            return rows[fin]
+
+        walk.run(t_cap, on_step)
+        return times, prof, walk.idx[~walk.retired]
 
     # profiles concentrate within ~2*levels[-1] sites of the edge; start
     # narrow and let the overflow retry widen on demand
@@ -195,14 +204,8 @@ def edge_hit_times(
     return _retrying(run, min(guess, default_width(t_cap)), 96, max_doublings=14)
 
 
-def kernel_transition_samples(
-    w: WeightFunction,
-    eta_state: int,
-    direction: str,
-    replicas: int,
-    seed,
-    step_cap: int = 100_000,
-):
+def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str, replicas: int, seed,
+                              step_cap: int = 100_000):
     """Observe one embedded-chain transition per replica from walk dynamics.
 
     The site-0 signed difference is imprinted to match `eta_state` via a
@@ -217,32 +220,26 @@ def kernel_transition_samples(
     want = 1 if direction in ("+", "plus") else -1
     d0 = -eta_state if want == 1 else eta_state
     d_init = {0: d0}
-    if d0 > 0:
-        d_init[1] = -d0
-    elif d0 < 0:
-        d_init[-1] = -d0
+    if d0:
+        d_init[1 if d0 > 0 else -1] = -d0
 
     def run(width, dmax):
-        b = _new_batch(w, replicas, width, dmax, seed, d_init=d_init)
+        walk = _Lockstep(w, replicas, width, dmax, seed, d_init=d_init)
         out = np.empty(replicas, dtype=np.int64)
         got = np.zeros(replicas, dtype=bool)
-        idx = np.arange(replicas)
-        retired = np.zeros(replicas, dtype=bool)
-        for _ in range(step_cap):
-            old, s = b.step()
-            done = (old == 0) & (s == want) & ~retired
-            if done.any():
-                d_after = b.D[done.nonzero()[0], np.full(int(done.sum()), b.off)]
-                out[idx[done]] = -d_after if want == 1 else d_after
-                got[idx[done]] = True
-                retired |= done
-                if retired.sum() >= 0.25 * len(idx):
-                    keep = ~retired
-                    b.compact(keep)
-                    idx = idx[keep]
-                    retired = np.zeros(len(idx), dtype=bool)
-                    if len(idx) == 0:
-                        break
+
+        def on_step(t, old, s):
+            rows = np.flatnonzero((old == 0) & (s == want))
+            rows = rows[~got[walk.idx[rows]]]
+            if not len(rows):
+                return None
+            ids = walk.idx[rows]
+            d_after = walk.D[walk.base[rows]]
+            out[ids] = -d_after if want == 1 else d_after
+            got[ids] = True
+            return rows
+
+        walk.run(step_cap, on_step)
         return out[got], int((~got).sum())
 
     return _retrying(run, 512, max(96, 4 * abs(eta_state) + 64))

@@ -150,3 +150,16 @@ def test_cli_import_skips_scipy():
 def test_console_entry_point():
     proc = subprocess.run([sys.executable, "-m", "srrw.cli", "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("kind,param,message", [
+    ("inverse-time", "x=1", "must share the parity of n^2"),
+    ("endpoint", "n_ladder=[8", "is not KEY=JSON"),
+    ("tails", "m_ladder=[50]", "m=50 is too small for the log2 growth"),
+])
+def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
+    out = tmp_path / "c"
+    assert run_cli(["campaign", "--kind", kind, "--param", param, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (out / "manifest.json").exists()

@@ -4,7 +4,9 @@ from scipy.stats import chisquare
 
 from srrw import eta_kernel_row, simulate_walk
 from srrw import vectorwalk as vw
+from srrw.cli import main
 from srrw.enumeration import exact_position_law
+from srrw.errors import SimulationBudgetError, SrrwError
 from srrw.harness import substream
 
 
@@ -97,15 +99,277 @@ def test_kernel_transitions_match_row(w_exp):
 
 def test_width_retry_gives_same_answer(w_exp):
     # forcing a tiny initial window must not change the sampled values
-    a, _, _ = vw._retrying(
-        lambda width, dmax: _run_final(w_exp, 64, 300, substream(12, 0), width, dmax), 8, 96
-    )
+    def run(width, dmax):
+        walk = vw._Lockstep(w_exp, 300, width, dmax, substream(12, 0))
+        walk.run(64)
+        return walk.positions(), None, -walk.off
+
+    a, _, _ = vw._retrying(run, 8, 96)
     b, _, _ = vw.final_positions(w_exp, 64, 300, substream(12, 0))
     assert np.array_equal(a, b)
 
 
-def _run_final(w, steps, replicas, seed, width, dmax):
-    b = vw._new_batch(w, replicas, width, dmax, seed)
-    for _ in range(steps):
-        b.step()
-    return b.pos.copy(), None, -b.off
+def test_retrying_raises_typed_budget_error():
+    def always_wider(width, dmax):
+        raise vw._NeedWider
+
+    with pytest.raises(SimulationBudgetError, match="after 10 tries"):
+        vw._retrying(always_wider, 8, 96)
+    assert issubclass(SimulationBudgetError, SrrwError)
+
+
+def test_retrying_stops_before_depth_leaves_int16():
+    seen = []
+
+    def always_deeper(width, dmax):
+        seen.append(dmax)
+        raise vw._NeedDeeper
+
+    with pytest.raises(SimulationBudgetError, match="int16"):
+        vw._retrying(always_deeper, 8, 96, max_doublings=30)
+    assert seen == [96 * 2**k for k in range(9)]
+    assert max(seen) <= np.iinfo(np.int16).max
+
+
+def test_out_of_tries_is_cli_usage_error(monkeypatch, tmp_path, capsys):
+    # a site window that can never grow: every try overflows it
+    monkeypatch.setattr(vw, "default_width", lambda steps: 0)
+    rc = main(["campaign", "--kind", "endpoint", "--replicas", "50", "--param", "n_ladder=[4]",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: simulation kept overflowing" in capsys.readouterr().err
+
+
+# -- bit-identity against the per-step reference engine -------------------------
+#
+# _RefBatch and the _ref_* drivers keep the step, retry and retire logic of the
+# earlier 2-D engine as the reference: the flat engine must reproduce their
+# outputs exactly.
+
+
+class _RefBatch:
+    def __init__(self, w, replicas, width, dmax, seed, want_lplus=False, d_init=None):
+        self.rng = np.random.Generator(np.random.Philox(seed))
+        self.ptab = w.p_right_table(dmax)
+        self.dmax = dmax
+        self.off = width // 2
+        self.D = np.zeros((replicas, width), dtype=np.int16)
+        for site, val in (d_init or {}).items():
+            self.D[:, site + self.off] = val
+        self.LP = np.zeros((replicas, width), dtype=np.int32) if want_lplus else None
+        self.pos = np.zeros(replicas, dtype=np.int64)
+
+    def step(self):
+        pos = self.pos
+        if len(pos) and int(np.abs(pos).max()) >= self.off - 1:
+            raise vw._NeedWider
+        rows = np.arange(len(pos))
+        cols = pos + self.off
+        d = self.D[rows, cols]
+        if len(pos) and int(np.abs(d).max()) >= self.dmax - 1:
+            raise vw._NeedDeeper
+        p = self.ptab[d.astype(np.int64) + self.dmax]
+        u = self.rng.random(len(pos))
+        s = np.where(u < p, 1, -1).astype(np.int16)
+        self.D[rows, cols] = d + s
+        if self.LP is not None:
+            right = s > 0
+            self.LP[rows[right], cols[right]] += 1
+        old = pos.copy()
+        self.pos = pos + s
+        return old, s
+
+    def compact(self, keep):
+        self.pos = self.pos[keep]
+        self.D = self.D[keep]
+        if self.LP is not None:
+            self.LP = self.LP[keep]
+
+
+def _ref_retrying(fn, width, dmax, max_doublings=10):
+    for _ in range(max_doublings):
+        try:
+            return fn(width, dmax)
+        except vw._NeedWider:
+            width *= 2
+        except vw._NeedDeeper:
+            dmax *= 2
+    raise RuntimeError("reference kept overflowing")
+
+
+def _ref_final(w, steps, replicas, seed, want_lplus=False, snap_at=()):
+    def run(width, dmax):
+        b = _RefBatch(w, replicas, width, dmax, seed, want_lplus=want_lplus)
+        snaps = {}
+        for t in range(1, steps + 1):
+            b.step()
+            if t in snap_at:
+                snaps[t] = b.pos.copy()
+        return b.pos.copy(), (None if b.LP is None else b.LP.copy()), -b.off, snaps
+
+    return _ref_retrying(run, vw.default_width(steps), 96)
+
+
+def _ref_edge(w, edge_site, levels, replicas, seed, t_cap, capture_window=None):
+    L = len(levels)
+    lev = np.array(levels, dtype=np.int64)
+
+    def run(width, dmax):
+        b = _RefBatch(w, replicas, width, dmax, seed, want_lplus=capture_window is not None)
+        times = np.full((replicas, L), -1, dtype=np.int64)
+        prof = None
+        if capture_window is not None:
+            y_lo, y_hi = capture_window
+            prof = np.zeros((replicas, y_hi - y_lo + 1), dtype=np.int64)
+        idx = np.arange(replicas)
+        cnt = np.zeros(replicas, dtype=np.int64)
+        nxt = np.zeros(replicas, dtype=np.int64)
+        retired = np.zeros(replicas, dtype=bool)
+        for t in range(1, t_cap + 1):
+            old, s = b.step()
+            crossed = (old == edge_site) & (s > 0)
+            if crossed.any():
+                cnt[crossed] += 1
+                hit = crossed & (nxt < L)
+                hit[hit] = cnt[hit] == lev[np.minimum(nxt[hit], L - 1)]
+                if hit.any():
+                    times[idx[hit], nxt[hit]] = t
+                    nxt[hit] += 1
+                    done = hit & (nxt == L)
+                    if done.any():
+                        if prof is not None:
+                            cols = np.arange(y_lo, y_hi + 1) + b.off
+                            prof[idx[done]] = b.LP[np.ix_(done.nonzero()[0], cols)]
+                        retired |= done
+                        if retired.sum() >= 0.25 * len(idx):
+                            keep = ~retired
+                            b.compact(keep)
+                            idx, cnt, nxt = idx[keep], cnt[keep], nxt[keep]
+                            retired = np.zeros(len(idx), dtype=bool)
+                            if len(idx) == 0:
+                                break
+        return times, prof, idx[~retired].copy()
+
+    guess = 2 * (8 * levels[-1] + abs(edge_site) + 64)
+    return _ref_retrying(run, min(guess, vw.default_width(t_cap)), 96, max_doublings=14)
+
+
+def _ref_kernel(w, eta_state, direction, replicas, seed, step_cap=100_000):
+    want = 1 if direction == "+" else -1
+    d0 = -eta_state if want == 1 else eta_state
+    d_init = {0: d0}
+    if d0 > 0:
+        d_init[1] = -d0
+    elif d0 < 0:
+        d_init[-1] = -d0
+
+    def run(width, dmax):
+        b = _RefBatch(w, replicas, width, dmax, seed, d_init=d_init)
+        out = np.empty(replicas, dtype=np.int64)
+        got = np.zeros(replicas, dtype=bool)
+        idx = np.arange(replicas)
+        retired = np.zeros(replicas, dtype=bool)
+        for _ in range(step_cap):
+            old, s = b.step()
+            done = (old == 0) & (s == want) & ~retired
+            if done.any():
+                d_after = b.D[done.nonzero()[0], np.full(int(done.sum()), b.off)]
+                out[idx[done]] = -d_after if want == 1 else d_after
+                got[idx[done]] = True
+                retired |= done
+                if retired.sum() >= 0.25 * len(idx):
+                    keep = ~retired
+                    b.compact(keep)
+                    idx = idx[keep]
+                    retired = np.zeros(len(idx), dtype=bool)
+                    if len(idx) == 0:
+                        break
+        return out[got], int((~got).sum())
+
+    return _ref_retrying(run, 512, max(96, 4 * abs(eta_state) + 64))
+
+
+@pytest.fixture(params=["exp", "ramp"])
+def weight(request, w_exp, w_ramp):
+    return w_exp if request.param == "exp" else w_ramp
+
+
+@pytest.fixture
+def forced_retry(monkeypatch, request):
+    """Start every block at a tiny width or depth; records each try's (width, dmax)."""
+    tries = []
+    real = vw._retrying
+
+    def tiny(fn, width, dmax, max_doublings=10):
+        def spy(width, dmax):
+            tries.append((width, dmax))
+            return fn(width, dmax)
+
+        if request.param == "width":
+            width = 4
+        elif request.param == "depth":
+            dmax = 3
+        return real(spy, width, dmax, max_doublings + 8)
+
+    monkeypatch.setattr(vw, "_retrying", tiny)
+    return request.param, tries
+
+
+def _assert_retried(forced_retry):
+    kind, tries = forced_retry
+    if kind == "width":
+        assert len({wd for wd, _ in tries}) > 1
+    elif kind == "depth":
+        assert len({dm for _, dm in tries}) > 1
+
+
+@pytest.mark.parametrize("forced_retry", [None, "width", "depth"], indirect=True)
+def test_final_positions_bit_identical(weight, forced_retry):
+    seed = substream(40, 1)
+    snap_at = {1, 7, 60, 150}
+    ref_pos, _, _, ref_snaps = _ref_final(weight, 150, 3000, seed, snap_at=snap_at)
+    pos, lp, site_lo, snaps = vw.final_positions(weight, 150, 3000, seed, snapshots=sorted(snap_at))
+    _assert_retried(forced_retry)
+    assert lp is None
+    assert np.array_equal(pos, ref_pos) and pos.dtype == ref_pos.dtype
+    assert snaps.keys() == ref_snaps.keys()
+    assert all(np.array_equal(snaps[k], ref_snaps[k]) for k in snap_at)
+    if forced_retry[0] is None:
+        ref_pos, ref_lp, ref_lo, _ = _ref_final(weight, 150, 3000, seed, want_lplus=True)
+        pos, lp, site_lo = vw.final_positions(weight, 150, 3000, seed, want_lplus=True)
+        assert np.array_equal(pos, ref_pos) and site_lo == ref_lo
+        assert np.array_equal(lp, ref_lp) and lp.dtype == ref_lp.dtype
+
+
+@pytest.mark.parametrize("forced_retry", [None, "width", "depth"], indirect=True)
+def test_edge_hit_times_bit_identical(weight, forced_retry):
+    # three levels: most replicas finish and the block compacts several times
+    args = (weight, 0, [1, 2, 3], 3000, substream(41, 0))
+    ref = _ref_edge(*args, t_cap=50_000, capture_window=(-3, 4))
+    got = vw.edge_hit_times(*args, t_cap=50_000, capture_window=(-3, 4))
+    _assert_retried(forced_retry)
+    assert len(ref[2]) == 0 and (ref[0] > 0).all()
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+
+
+def test_edge_hit_times_censored_bit_identical(weight):
+    # off-centre edge, cap short enough that part of the block is censored
+    args = (weight, -1, [2, 4], 2000, substream(42, 0))
+    ref = _ref_edge(*args, t_cap=40)
+    got = vw.edge_hit_times(*args, t_cap=40)
+    assert 0 < len(ref[2]) < 2000 and (ref[0][:, 1] == -1).any()
+    for a, b in zip(got[::2], ref[::2]):
+        assert np.array_equal(a, b)
+    assert got[1] is None
+
+
+@pytest.mark.parametrize("forced_retry", [None, "width", "depth"], indirect=True)
+@pytest.mark.parametrize("state", [0, 3, -3])
+def test_kernel_transition_samples_bit_identical(weight, state, forced_retry):
+    for direction in ("+", "-"):
+        seed = substream(43, state + 10, 0 if direction == "+" else 1)
+        ref_vals, ref_cens = _ref_kernel(weight, state, direction, 2000, seed)
+        vals, cens = vw.kernel_transition_samples(weight, state, direction, 2000, seed)
+        assert np.array_equal(vals, ref_vals) and cens == ref_cens
+    _assert_retried(forced_retry)
