@@ -1,11 +1,15 @@
-"""Layer bench for the lockstep walk, the exact local-CLT DP and the CLI import, before and after.
+"""Layer bench for the lockstep walk, the Ray-Knight sampler, the exact local-CLT DP and the CLI import, before and after.
 
     python scripts/bench.py --baseline PARENT_CHECKOUT --out OUT.json
 
 Measures, in a fresh process each, the wall time of `import srrw.cli`, of
 one single-threaded `vectorwalk.final_positions` block of WALK_REPLICAS exp:1
 walks over WALK_STEPS steps (replica-steps/s alongside, and a sha256 of the
-final positions, which must agree between trees), and of
+final positions, which must agree between trees), of one single-threaded
+`RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
+RK_LEVELS on exp:1 (profiles/s, the time and count of the
+`MarginalTable.draw` calls inside it, draws/s, and a sha256 of the totals,
+which must agree between trees), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
 above the high-water mark the imports left).  Every tree named (this
@@ -35,6 +39,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (100, 200, 400)
 WALK_REPLICAS = 65536
 WALK_STEPS = 400
+RK_REPLICAS = 65536
+RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaign
 REPEATS = 10
 
 
@@ -58,6 +64,37 @@ def child_walk() -> dict:
         "wall_s": wall,
         "replica_steps_per_s": WALK_REPLICAS * WALK_STEPS / wall,
         "positions_sha256": hashlib.sha256(pos.tobytes()).hexdigest(),
+    }
+
+
+def child_rayknight() -> dict:
+    from srrw.harness import substream
+    from srrw.rayknight import RayKnightSampler
+    from srrw.weights import WeightFunction
+
+    sampler = RayKnightSampler(WeightFunction("exponential", (1.0,)))
+    draw = sampler.table.draw
+    draw_s, draws = 0.0, 0
+
+    def timed_draw(idx, rng):
+        nonlocal draw_s, draws
+        t0 = time.perf_counter()
+        out = draw(idx, rng)
+        draw_s += time.perf_counter() - t0
+        draws += len(idx)
+        return out
+
+    sampler.table.draw = timed_draw
+    t0 = time.perf_counter()
+    totals = [sampler.batch_total_time(-1, m, RK_REPLICAS, substream(1, m)) for m in RK_LEVELS]
+    wall = time.perf_counter() - t0
+    return {
+        "wall_s": wall,
+        "profiles_per_s": RK_REPLICAS * len(RK_LEVELS) / wall,
+        "draw_s": draw_s,
+        "draws": draws,
+        "draws_per_s": draws / draw_s,
+        "totals_sha256": hashlib.sha256(b"".join(t.tobytes() for t in totals)).hexdigest(),
     }
 
 
@@ -128,6 +165,8 @@ def main(argv=None) -> int:
             res = child_import()
         elif args.child[0] == "walk":
             res = child_walk()
+        elif args.child[0] == "rayknight":
+            res = child_rayknight()
         else:
             res = child_dp(int(args.child[1]))
         import srrw
@@ -140,7 +179,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"]] + [["dp", str(n)] for n in SIZES]
+    cases = [["import"], ["walk"], ["rayknight"]] + [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     for rep in range(REPEATS):
         order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
@@ -156,6 +195,7 @@ def main(argv=None) -> int:
             **tree_id(tree),
             "import_srrw_cli": summary(samples[label]["import"]),
             "final_positions": summary(samples[label]["walk"]),
+            "batch_total_time": summary(samples[label]["rayknight"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
         }
     report = {
@@ -163,17 +203,21 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy")},
         "repeats": REPEATS,
         "walk": {"replicas": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 1},
+        "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "runs": runs,
     }
     if "parent" in runs:
-        names = {"import": "import_srrw_cli", "walk": f"final_positions_R{WALK_REPLICAS}_T{WALK_STEPS}",
-                 **{f"dp {n}": f"exact_bivariate_pmf_N{n}" for n in SIZES}}
-        # median of the parent's wall_s over the change's, and each pair's own ratio
+        names = {("import", "wall_s"): "import_srrw_cli",
+                 ("walk", "wall_s"): f"final_positions_R{WALK_REPLICAS}_T{WALK_STEPS}",
+                 ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
+                 ("rayknight", "draw_s"): "MarginalTable.draw",
+                 **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
+        # median of the parent's time over the change's, and each pair's own ratio
         report["speedup"] = {}
         report["pair_speedups"] = {}
-        for case, name in names.items():
-            par = [s["wall_s"] for s in samples["parent"][case]]
-            chg = [s["wall_s"] for s in samples["change"][case]]
+        for (case, key), name in names.items():
+            par = [s[key] for s in samples["parent"][case]]
+            chg = [s[key] for s in samples["change"][case]]
             report["speedup"][name] = statistics.median(par) / statistics.median(chg)
             report["pair_speedups"][name] = [a / b for a, b in zip(par, chg)]
     args.out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")

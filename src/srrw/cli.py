@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidWeightError, SrrwError
+from .errors import CampaignConfigError, InvalidWeightError, SrrwError
 from .eta import EtaKernel, stationary_distribution
 from .harness import config_from_dict, load_expectations, map_blocks, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, stationary_step_law
@@ -197,19 +197,23 @@ def cmd_lclt(args) -> int:
 def cmd_campaign(args) -> int:
     t0 = time.perf_counter()
     if args.manifest:
-        loaded = RunManifest.load(args.manifest)
-        cfg_dict = dict(loaded.config)
+        try:
+            cfg_dict = dict(RunManifest.load(args.manifest).config)
+        except (OSError, ValueError, TypeError) as exc:
+            raise CampaignConfigError(f"cannot read --manifest {args.manifest!r}: {exc}") from exc
         if args.threads is not None:
             cfg_dict["threads"] = args.threads
-        cfg = config_from_dict(cfg_dict)
     else:
         if args.kind is None:
             print("campaign requires --kind or --manifest", file=sys.stderr)
             return USAGE_ERROR
         cfg_dict = {}
         if args.config:
-            with open(args.config) as fh:
-                cfg_dict.update(json.load(fh))
+            try:
+                with open(args.config) as fh:
+                    cfg_dict.update(json.load(fh))
+            except (OSError, ValueError, TypeError) as exc:
+                raise CampaignConfigError(f"cannot read --config {args.config!r}: {exc}") from exc
         cfg_dict["kind"] = args.kind.replace("-", "_")
         cfg_dict.setdefault("weight", args.w.spec() if args.w else {"family": "exponential", "rate": 1.0})
         if args.w is not None:
@@ -228,11 +232,11 @@ def cmd_campaign(args) -> int:
                 except json.JSONDecodeError as exc:
                     print(f"error: --param {kv!r} is not KEY=JSON: {exc}", file=sys.stderr)
                     return USAGE_ERROR
-        try:
-            cfg = config_from_dict(cfg_dict)
-        except (KeyError, TypeError) as exc:
-            print(f"bad campaign config: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+    try:
+        cfg = config_from_dict(cfg_dict)
+    except (KeyError, TypeError) as exc:
+        print(f"bad campaign config: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     outdir = _outdir(args)
     manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, __version__)
     manifest.write(outdir / "manifest.json")

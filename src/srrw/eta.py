@@ -14,6 +14,7 @@ all scaling formulas.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .weights import WeightFunction
 
 DEFAULT_EPS_TAIL = 1e-14
 DEFAULT_WINDOW = (-40, 40)
+GUIDE_K = 1024  # guide cells per CDF row; a power of two keeps k/K exact
 
 
 @dataclass
@@ -201,23 +203,24 @@ def sample_eta_chain(kernel: EtaKernel, length: int, seed, start: int = 0) -> Et
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = _as_generator(seed)
-    values = np.empty(length, dtype=np.int64)
-    values[0] = start
-    cdf_cache: dict = {}
     uniforms = rng.random(length - 1)
-    state = start
-    for j in range(1, length):
-        entry = cdf_cache.get(state)
-        if entry is None:
-            row = kernel.row(state)
-            entry = (row.lo, np.cumsum(row.probs))
-            cdf_cache[state] = entry
-        lo_row, cdf = entry
-        i = int(np.searchsorted(cdf, uniforms[j - 1] * cdf[-1], side="right"))
-        if i >= len(cdf):
-            i = len(cdf) - 1
-        state = lo_row + i
-        values[j] = state
+    values = np.empty(length, dtype=np.int64)
+    values[0] = state = start
+    cdf_cache: dict = {}
+    # Python floats and bisect beat numpy per step; convert a chunk at a time
+    # so the list copy of the uniforms stays small
+    chunk_len = 1 << 16
+    for c0 in range(0, length - 1, chunk_len):
+        chunk = []
+        for u in uniforms[c0 : c0 + chunk_len].tolist():
+            entry = cdf_cache.get(state)
+            if entry is None:
+                row = kernel.row(state)
+                entry = cdf_cache[state] = (row.lo, np.cumsum(row.probs).tolist())
+            lo_row, cdf = entry
+            state = lo_row + min(bisect_right(cdf, u * cdf[-1]), len(cdf) - 1)
+            chunk.append(state)
+        values[1 + c0 : 1 + c0 + len(chunk)] = chunk
     return EtaSequence(site=None, direction="+", values=values, taus=np.arange(length))
 
 
@@ -229,8 +232,16 @@ class MarginalTable:
     j_star every marginal is within tv_at_cutoff (< ~1e-14) of the stationary
     law, so the stationary row stands in for all larger indices.
 
-    Mixed-index draws use one searchsorted over the row-stacked CDFs: row j
-    is embedded at offset 2j, so the query 2*idx + u lands in its own row.
+    Draws invert the CDFs with a guide table (Chen & Asau 1974).  The lookup
+    rows are rows 0..j_star-1 of the table and then the stationary law as
+    row j_star; index idx reads row r = min(idx, j_star).  Row j < j_star is
+    compared in the rounded space the draws have always used: it holds
+    2j + cdf and a uniform u becomes q = 2j + u, so a draw is the first entry
+    above q.  The stationary row holds its CDF and compares against u itself.
+    Entries whose CDF has reached 1 hold +inf, so the scan stops inside the
+    row even when 2j + u rounds up to 2j + 1; that draw returns the row's
+    last state with mass.  guide[r, k] is the first entry above 2r + k/K
+    (k/K for the stationary row), a start the scan only moves forward from.
     """
 
     lo: int
@@ -238,26 +249,42 @@ class MarginalTable:
     nu_cdf: np.ndarray
     j_star: int
     tv_at_cutoff: float
-    _flat: np.ndarray = field(init=False, repr=False)
+    _off: np.ndarray = field(init=False, repr=False)
+    _cmp: np.ndarray = field(init=False, repr=False)
+    _guide: np.ndarray = field(init=False, repr=False)
+    _state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._flat = (2.0 * np.arange(len(self.cdfs))[:, None] + self.cdfs).ravel()
+        rows = np.vstack([self.cdfs[: self.j_star], self.nu_cdf])
+        width = rows.shape[1]
+        self._off = 2.0 * np.arange(len(rows))
+        self._off[-1] = 0.0
+        cmp = np.where(rows < 1.0, self._off[:, None] + rows, np.inf)
+        grid = np.arange(GUIDE_K) / GUIDE_K
+        self._guide = np.concatenate([
+            j * width + np.searchsorted(c, off + grid, side="right")
+            for j, (c, off) in enumerate(zip(cmp, self._off))
+        ])
+        self._cmp = cmp.ravel()
+        self._state = np.tile(self.lo + np.arange(width), len(rows))
 
     def draw(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One chain value per entry: entry i is distributed as state after
         idx[i] steps from 0 (stationary beyond the cutoff)."""
         u = rng.random(len(idx))
-        out = np.empty(len(idx), dtype=np.int64)
-        big = idx >= self.j_star
-        if big.any():
-            out[big] = self.lo + np.searchsorted(self.nu_cdf, u[big], side="right")
-        small = ~big
-        if small.any():
-            sidx = idx[small]
-            width = self.cdfs.shape[1]
-            pos = np.searchsorted(self._flat, 2.0 * sidx + u[small], side="right")
-            out[small] = self.lo + (pos - sidx * width)
-        return out
+        r = np.minimum(idx, self.j_star)
+        q = self._off.take(r)
+        q += u
+        # off + floor(u K)/K is a float no larger than off + u, so rounding
+        # keeps it <= q: every entry before the guide's start is <= q
+        g = r * GUIDE_K
+        g += (u * GUIDE_K).astype(np.intp)
+        pos = self._guide.take(g)
+        act = np.flatnonzero(self._cmp.take(pos) <= q)
+        while len(act):
+            pos[act] += 1
+            act = act[self._cmp.take(pos[act]) <= q[act]]
+        return self._state.take(pos)
 
 
 def marginal_law_table(

@@ -156,6 +156,10 @@ class TailConfig(CampaignConfig):
         for m in self.m_ladder:
             if tail_probe_site(m, g(m)) < 1:
                 raise CampaignConfigError(f"tails: m={m} is too small for the {self.growth} growth function")
+        if len(self.replicas_per_m) != len(self.m_ladder):
+            raise CampaignConfigError(
+                f"tails: replicas_per_m has {len(self.replicas_per_m)} entries for {len(self.m_ladder)} m_ladder points"
+            )
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SimulationBudgetError
 from .eta import EtaKernel, MarginalTable, StationaryResult, marginal_law_table, stationary_distribution
 from .walk import _as_generator
 from .weights import WeightFunction
@@ -115,7 +116,7 @@ class RayKnightSampler:
             right_vals.append(l)
             s += 1
             if s - x > cap:
-                raise RuntimeError("right sweep failed to absorb within cap")
+                raise SimulationBudgetError("right sweep failed to absorb within cap")
 
         left_vals = []
         l = m
@@ -123,7 +124,7 @@ class RayKnightSampler:
             l = int(self._advance(np.array([l]), rng)[0])
             left_vals.append(l)
             if len(left_vals) > cap:
-                raise RuntimeError("left sweep failed to absorb within cap")
+                raise SimulationBudgetError("left sweep failed to absorb within cap")
 
         site_lo = x - len(left_vals)
         lplus = np.array(left_vals[::-1] + [m] + right_vals, dtype=np.int64)
@@ -276,7 +277,7 @@ class RayKnightSampler:
             act, lact = act[keep], lact[keep]
             s += 1
             if s - x > cap:
-                raise RuntimeError("right sweep failed to absorb within cap")
+                raise SimulationBudgetError("right sweep failed to absorb within cap")
 
         act = np.arange(R)
         lact = np.full(R, m, dtype=np.int64)
@@ -288,7 +289,7 @@ class RayKnightSampler:
             act, lact = act[keep], lact[keep]
             depth += 1
             if depth > cap:
-                raise RuntimeError("left sweep failed to absorb within cap")
+                raise SimulationBudgetError("left sweep failed to absorb within cap")
         return 2 * total + abs(x) - 1
 
     def batch_boundary_sums(self, x: int, m: int, replicas: int, seed, boundary: float):
@@ -318,7 +319,7 @@ class RayKnightSampler:
             keep = lact > 0
             act, lact = act[keep], lact[keep]
             if s - x > cap:
-                raise RuntimeError("right sweep failed to absorb within cap")
+                raise SimulationBudgetError("right sweep failed to absorb within cap")
 
         act = np.arange(R)
         lact = np.full(R, m, dtype=np.int64)
@@ -331,7 +332,7 @@ class RayKnightSampler:
             keep = lact > 0
             act, lact = act[keep], lact[keep]
             if x - t > cap:
-                raise RuntimeError("left sweep failed to absorb within cap")
+                raise SimulationBudgetError("left sweep failed to absorb within cap")
         return w1, w2
 
 

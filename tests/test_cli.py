@@ -156,6 +156,7 @@ def test_console_entry_point():
     ("inverse-time", "x=1", "must share the parity of n^2"),
     ("endpoint", "n_ladder=[8", "is not KEY=JSON"),
     ("tails", "m_ladder=[50]", "m=50 is too small for the log2 growth"),
+    ("tails", "replicas_per_m=[20,20]", "replicas_per_m has 2 entries for 3 m_ladder points"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"
@@ -163,3 +164,34 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag,content,message", [
+    ("--config", '{"n_ladder": [8', "cannot read --config"),
+    ("--config", None, "No such file"),
+    ("--config", "[1, 2]", "cannot read --config"),
+    ("--manifest", None, "No such file"),
+    ("--manifest", '{"config": ', "cannot read --manifest"),
+    ("--manifest", '{"bogus": 1}', "cannot read --manifest"),
+])
+def test_unreadable_campaign_file_writes_nothing(tmp_path, capsys, flag, content, message):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    out = tmp_path / "c"
+    kind = ["--kind", "endpoint"] if flag == "--config" else []
+    assert run_cli(["campaign", *kind, flag, str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+def test_sampler_cap_exits_2(tmp_path, capsys, monkeypatch):
+    from srrw.rayknight import RayKnightSampler
+
+    # a sweep that never absorbs runs into the sampler's cap
+    monkeypatch.setattr(RayKnightSampler, "_advance", lambda self, idx, rng: idx.copy())
+    code = run_cli(["campaign", "--kind", "inverse-time", "--replicas", "10", "--param", "n=4",
+                    "--param", "cross_replicas=0", "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert "error: right sweep failed to absorb within cap" in capsys.readouterr().err

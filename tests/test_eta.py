@@ -13,6 +13,7 @@ from srrw import (
     stationary_distribution,
 )
 from srrw.eta import _row_from_p, marginal_law_table, power_step
+from srrw.walk import _as_generator
 
 
 def test_row_state0_exp(w_exp):
@@ -179,3 +180,106 @@ def test_marginal_table_draw_law(kernel_exp, stationary_exp):
         freq = (draws == state).mean()
         se = (p * (1 - p) / len(idx)) ** 0.5
         assert abs(freq - p) < 4 * se + 1e-4
+
+
+def _ref_draw(table, idx, rng):
+    """The earlier draw: one searchsorted over the row-stacked CDFs, row j
+    embedded at offset 2j, and the stationary CDF for idx >= j_star."""
+    u = rng.random(len(idx))
+    out = np.empty(len(idx), dtype=np.int64)
+    big = idx >= table.j_star
+    if big.any():
+        out[big] = table.lo + np.searchsorted(table.nu_cdf, u[big], side="right")
+    small = ~big
+    if small.any():
+        sidx = idx[small]
+        width = table.cdfs.shape[1]
+        flat = (2.0 * np.arange(len(table.cdfs))[:, None] + table.cdfs).ravel()
+        pos = np.searchsorted(flat, 2.0 * sidx + u[small], side="right")
+        out[small] = table.lo + (pos - sidx * width)
+    return out
+
+
+class _FixedUniforms:
+    """Generator stand-in whose random(n) returns preset uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("sampler", ["sampler_exp", "sampler_ramp"])
+def test_draw_matches_reference_stream(sampler, request):
+    table = request.getfixturevalue(sampler).table
+    js = table.j_star
+    idx = np.random.Generator(np.random.Philox(3)).integers(0, js + 20, 200_000)
+    idx[:3] = (js - 1, js, js + 1)
+    for seed in (5, 6):
+        got = table.draw(idx, np.random.Generator(np.random.Philox(seed)))
+        want = _ref_draw(table, idx, np.random.Generator(np.random.Philox(seed)))
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("sampler", ["sampler_exp", "sampler_ramp"])
+def test_draw_matches_reference_on_breakpoints(sampler, request):
+    # uniforms exactly on and one ulp below every CDF value of every row,
+    # where the rounded comparison 2j + u decides between neighbours; only
+    # where 2j + u rounds to 2j + 1 did the earlier draw leave the window
+    table = request.getfixturevalue(sampler).table
+    js = table.j_star
+    idx, u, rounds_up = [], [], []
+    rows = [(j, 2.0 * j, table.cdfs[j]) for j in range(js)]
+    rows += [(js, 0.0, table.nu_cdf), (js + 7, 0.0, table.nu_cdf)]
+    for j, off, cdf in rows:
+        on = np.unique(cdf[cdf < 1.0])
+        for v in np.concatenate([on, np.nextafter(on, 0.0)]):
+            if v >= 0.0:
+                idx.append(j)
+                u.append(v)
+                rounds_up.append(off + v == off + 1.0)
+    idx, rounds_up = np.array(idx, dtype=np.int64), np.array(rounds_up)
+    assert len(idx) > 10 * js
+    got = table.draw(idx, _FixedUniforms(u))
+    want = _ref_draw(table, idx, _FixedUniforms(u))
+    assert np.array_equal(got[~rounds_up], want[~rounds_up])
+    assert (want[rounds_up] == table.lo + table.cdfs.shape[1]).all()
+    last_with_mass = table.lo + np.argmax(table.cdfs >= 1.0, axis=1)
+    assert np.array_equal(got[rounds_up], last_with_mass[idx[rounds_up]])
+
+
+@pytest.mark.parametrize("sampler", ["sampler_exp", "sampler_ramp"])
+@pytest.mark.parametrize("j", [8, 20, 40])
+def test_draw_stays_in_window_when_rounding_reaches_one(sampler, j, request):
+    # 2j + u rounds to 2j + 1 for u this close to 1; the earlier draw then
+    # returned lo + width, one state past the window
+    table = request.getfixturevalue(sampler).table
+    width = table.cdfs.shape[1]
+    u = [1.0 - 2.0**-50]
+    assert _ref_draw(table, np.array([j]), _FixedUniforms(u))[0] == table.lo + width
+    top = table.lo + int(np.argmax(table.cdfs[j] >= 1.0))  # last state with mass
+    assert table.draw(np.array([j]), _FixedUniforms(u))[0] == top
+
+
+def _ref_chain(kernel, length, seed, start):
+    """The earlier per-step numpy searchsorted chain sampler."""
+    rng = _as_generator(seed)
+    values = np.empty(length, dtype=np.int64)
+    values[0] = state = start
+    uniforms = rng.random(length - 1)
+    for j in range(1, length):
+        row = kernel.row(state)
+        cdf = np.cumsum(row.probs)
+        i = min(int(np.searchsorted(cdf, uniforms[j - 1] * cdf[-1], side="right")), len(cdf) - 1)
+        state = row.lo + i
+        values[j] = state
+    return values
+
+
+@pytest.mark.parametrize("start", [0, 3])
+def test_chain_matches_reference(kernel_exp, w_ramp, start):
+    for kernel in (kernel_exp, EtaKernel(w_ramp)):
+        got = sample_eta_chain(kernel, 70_000, seed=11, start=start).values
+        assert np.array_equal(got, _ref_chain(kernel, 70_000, 11, start))

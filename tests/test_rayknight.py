@@ -4,6 +4,7 @@ import pytest
 from srrw import rk_profile_sampler
 from srrw import vectorwalk as vw
 from srrw.enumeration import edge_hit_profile_law
+from srrw.errors import SimulationBudgetError
 from srrw.harness import substream
 
 
@@ -126,3 +127,23 @@ def test_batch_total_time_matches_walk(sampler_exp, w_exp):
     mw, sw = t_walk.mean(), t_walk.std(ddof=1) / np.sqrt(R)
     mr, sr = T_rk.mean(), T_rk.std(ddof=1) / np.sqrt(R)
     assert abs(mw - mr) < 3 * np.hypot(sw, sr)
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("run", [
+    lambda s: s.sample_profile(0, 3, seed=1),
+    lambda s: s.batch_total_time(0, 3, 4, seed=1),
+    lambda s: s.batch_boundary_sums(0, 3, 4, seed=1, boundary=2.0),
+], ids=["sample_profile", "batch_total_time", "batch_boundary_sums"])
+def test_sweep_cap_raises_budget_error(sampler_exp, monkeypatch, side, run):
+    # l stays put, so a sweep never absorbs; for the left sweep the first
+    # draw (the right sweep's boundary site) absorbs at once
+    calls = []
+
+    def advance(idx, rng):
+        calls.append(idx)
+        return np.zeros_like(idx) if side == "left" and len(calls) == 1 else idx.copy()
+
+    monkeypatch.setattr(sampler_exp, "_advance", advance)
+    with pytest.raises(SimulationBudgetError, match=f"{side} sweep failed to absorb within cap"):
+        run(sampler_exp)
