@@ -9,7 +9,10 @@ final positions, which must agree between trees), of one single-threaded
 `RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
 RK_LEVELS on exp:1 (profiles/s, the time and count of the
 `MarginalTable.draw` calls inside it, draws/s, and a sha256 of the totals,
-which must agree between trees), and of
+which must agree between trees), of one single-threaded
+`RayKnightSampler.batch_tail_events(TAIL_M, TAIL_REPLICAS)` block at the
+tail campaign's g = log^2 m (the same draw figures, and a sha256 of the
+event counts), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
 above the high-water mark the imports left).  Every tree named (this
@@ -41,6 +44,8 @@ WALK_REPLICAS = 65536
 WALK_STEPS = 400
 RK_REPLICAS = 65536
 RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaign
+TAIL_M = 1000
+TAIL_REPLICAS = 20000  # the first point of the tail campaign's default ladder
 REPEATS = 10
 
 
@@ -67,34 +72,55 @@ def child_walk() -> dict:
     }
 
 
-def child_rayknight() -> dict:
-    from srrw.harness import substream
+def _timed_sampler():
+    """An exp:1 sampler whose MarginalTable.draw calls are timed and counted."""
     from srrw.rayknight import RayKnightSampler
     from srrw.weights import WeightFunction
 
     sampler = RayKnightSampler(WeightFunction("exponential", (1.0,)))
     draw = sampler.table.draw
-    draw_s, draws = 0.0, 0
+    timer = {"draw_s": 0.0, "draws": 0}
 
     def timed_draw(idx, rng):
-        nonlocal draw_s, draws
         t0 = time.perf_counter()
         out = draw(idx, rng)
-        draw_s += time.perf_counter() - t0
-        draws += len(idx)
+        timer["draw_s"] += time.perf_counter() - t0
+        timer["draws"] += len(idx)
         return out
 
     sampler.table.draw = timed_draw
+    return sampler, timer
+
+
+def child_rayknight() -> dict:
+    from srrw.harness import substream
+
+    sampler, timer = _timed_sampler()
     t0 = time.perf_counter()
     totals = [sampler.batch_total_time(-1, m, RK_REPLICAS, substream(1, m)) for m in RK_LEVELS]
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
         "profiles_per_s": RK_REPLICAS * len(RK_LEVELS) / wall,
-        "draw_s": draw_s,
-        "draws": draws,
-        "draws_per_s": draws / draw_s,
+        **timer,
+        "draws_per_s": timer["draws"] / timer["draw_s"],
         "totals_sha256": hashlib.sha256(b"".join(t.tobytes() for t in totals)).hexdigest(),
+    }
+
+
+def child_tails() -> dict:
+    from srrw.harness import GROWTH_FUNCTIONS, substream
+
+    sampler, timer = _timed_sampler()
+    g_m = GROWTH_FUNCTIONS["log2"](TAIL_M)
+    t0 = time.perf_counter()
+    events = sampler.batch_tail_events(TAIL_M, TAIL_REPLICAS, substream(1, TAIL_M), g_m)
+    wall = time.perf_counter() - t0
+    return {
+        "wall_s": wall,
+        **timer,
+        "draws_per_s": timer["draws"] / timer["draw_s"],
+        "events_sha256": hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest(),
     }
 
 
@@ -167,6 +193,8 @@ def main(argv=None) -> int:
             res = child_walk()
         elif args.child[0] == "rayknight":
             res = child_rayknight()
+        elif args.child[0] == "tails":
+            res = child_tails()
         else:
             res = child_dp(int(args.child[1]))
         import srrw
@@ -179,7 +207,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["rayknight"]] + [["dp", str(n)] for n in SIZES]
+    cases = [["import"], ["walk"], ["rayknight"], ["tails"]] + [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     for rep in range(REPEATS):
         order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
@@ -196,6 +224,7 @@ def main(argv=None) -> int:
             "import_srrw_cli": summary(samples[label]["import"]),
             "final_positions": summary(samples[label]["walk"]),
             "batch_total_time": summary(samples[label]["rayknight"]),
+            "batch_tail_events": summary(samples[label]["tails"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
         }
     report = {
@@ -204,6 +233,7 @@ def main(argv=None) -> int:
         "repeats": REPEATS,
         "walk": {"replicas": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 1},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
+        "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
         "runs": runs,
     }
     if "parent" in runs:
@@ -211,6 +241,7 @@ def main(argv=None) -> int:
                  ("walk", "wall_s"): f"final_positions_R{WALK_REPLICAS}_T{WALK_STEPS}",
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
+                 ("tails", "wall_s"): f"batch_tail_events_m{TAIL_M}_R{TAIL_REPLICAS}",
                  **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
         # median of the parent's time over the change's, and each pair's own ratio
         report["speedup"] = {}

@@ -12,7 +12,7 @@ from .errors import (
     SupportBudgetError,
     WindowTooSmallError,
 )
-from .weights import WeightFunction, step_probability
+from .weights import WeightFunction
 from .walk import (
     EtaSequence,
     LocalTimeTable,
@@ -32,7 +32,7 @@ from .eta import (
     stationary_distribution,
 )
 from .scaling import ScalingParams, beta_n, scaling_params, theta, theta_positive
-from .rayknight import ProfileSample, RayKnightSampler, rk_profile_sampler
+from .rayknight import ProfileSample, RayKnightSampler
 from .lclt import (
     BivariatePMF,
     ConvolutionBoundReport,

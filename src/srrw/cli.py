@@ -50,12 +50,18 @@ def _finish(manifest: RunManifest, outdir: Path, watch_t0: float, outputs: list)
     manifest.write(outdir / "manifest.json")
 
 
+def _begin(args, manifest: RunManifest, outdir: Path) -> None:
+    """Write the manifest of a started run; main() records an SrrwError raised after this in it."""
+    manifest.write(outdir / "manifest.json")
+    args.started = (manifest, outdir)
+
+
 def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "steps": args.steps, "seed": args.seed}
     manifest = RunManifest("simulate", config, args.seed, __version__)
-    manifest.write(outdir / "manifest.json")
+    _begin(args, manifest, outdir)
     t = simulate_walk(args.w, args.steps, substream(args.seed, 0))
     rho, lam = range_extremes(t, len(t))
     rows = [
@@ -81,7 +87,7 @@ def cmd_stationary(args) -> int:
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "window": args.window}
     manifest = RunManifest("stationary", config, args.seed, __version__)
-    manifest.write(outdir / "manifest.json")
+    _begin(args, manifest, outdir)
     res = stationary_distribution(EtaKernel(args.w), window=(-args.window, args.window))
     rows = [
         {"eta": int(v), "nu_prob": float(p), "r_value": float(v) + 0.5, "r_prob": float(p)}
@@ -110,7 +116,7 @@ def cmd_profile(args) -> int:
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
     manifest = RunManifest("profile", config, args.seed, __version__)
-    manifest.write(outdir / "manifest.json")
+    _begin(args, manifest, outdir)
     sampler = RayKnightSampler(args.w)
     y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
 
@@ -145,7 +151,7 @@ def cmd_lclt(args) -> int:
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "N": args.N, "law": args.law, "box": args.box, "stride": args.stride}
     manifest = RunManifest("lclt", config, args.seed, __version__)
-    manifest.write(outdir / "manifest.json")
+    _begin(args, manifest, outdir)
     step_law = stationary_step_law(args.w)
     pmf = exact_bivariate_pmf(step_law, args.N)
     comparison = lclt_sup_error(pmf, u_max=args.box, v_max=args.box)
@@ -239,7 +245,7 @@ def cmd_campaign(args) -> int:
         return USAGE_ERROR
     outdir = _outdir(args)
     manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, __version__)
-    manifest.write(outdir / "manifest.json")
+    _begin(args, manifest, outdir)
     report = run_campaign(cfg)
     outputs = report.write_outputs(outdir)
     _finish(manifest, outdir, t0, outputs)
@@ -313,6 +319,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except SrrwError as exc:
+        if getattr(args, "started", None):
+            manifest, outdir = args.started
+            manifest.error = str(exc)
+            manifest.write(outdir / "manifest.json")
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -91,8 +91,3 @@ def edge_hit_profile_law(
 
     recurse(0, 0, 1.0, 0)
     return dict(law), captured
-
-
-def law_total_variation(p: dict, q: dict) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -146,12 +146,6 @@ class StationaryResult:
     iterations: int
 
 
-def power_step(v: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """One renormalized power-iteration step v -> vP / ||vP||_1."""
-    out = v @ P
-    return out / out.sum()
-
-
 def stationary_distribution(
     kernel: EtaKernel,
     window: tuple = DEFAULT_WINDOW,
@@ -172,7 +166,8 @@ def stationary_distribution(
     v /= v.sum()
     res = np.inf
     for it in range(1, max_iters + 1):
-        nxt = power_step(v, P)
+        nxt = v @ P
+        nxt = nxt / nxt.sum()
         res = float(np.abs(nxt - v).sum())
         v = nxt
         if res < residual:

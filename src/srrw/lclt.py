@@ -101,9 +101,6 @@ class BivariatePMF:
             return float(self.arr[ia, ib])
         return 0.0
 
-    def marginal_y(self):
-        return self.a_values(), self.occupied().sum(axis=1)
-
     def conditional_given_y(self, a: float):
         """(b_values, conditional probs) of S given Y = a."""
         ia = int(round(a - 0.5 * self.par_a)) + self.center_a

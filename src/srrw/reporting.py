@@ -119,6 +119,7 @@ class RunManifest:
     code_version: str
     outputs: list = field(default_factory=list)
     wall_clock_s: float | None = None
+    error: str | None = None  # the SrrwError that ended a failed run
     schema: str = SCHEMA_MANIFEST
 
     def write(self, path) -> None:

@@ -131,11 +131,5 @@ class WeightFunction:
         raise InvalidWeightError(f"unknown weight spec {text!r}")
 
 
-def step_probability(w: WeightFunction, d: int) -> float:
-    """Probability that the next step goes right given the signed directed-edge
-    local-time difference d at the current site."""
-    return w.p_right(d)
-
-
 EXP_UNIT = WeightFunction("exponential", (1.0,))
 RAMP_UNIT = WeightFunction("linear_ramp", (1.0, 1.0))

@@ -48,6 +48,7 @@ def test_stationary_json(tmp_path):
     assert (out / "stationary_law.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["wall_clock_s"] > 0
+    assert manifest["error"] is None
 
 
 def test_profile_command(tmp_path):
@@ -195,3 +196,7 @@ def test_sampler_cap_exits_2(tmp_path, capsys, monkeypatch):
                     "--param", "cross_replicas=0", "--out", str(tmp_path / "c")])
     assert code == 2
     assert "error: right sweep failed to absorb within cap" in capsys.readouterr().err
+    # the manifest written before the run records that the run failed
+    manifest = json.loads((tmp_path / "c" / "manifest.json").read_text())
+    assert manifest["error"] == "right sweep failed to absorb within cap"
+    assert manifest["outputs"] == [] and manifest["wall_clock_s"] is None

@@ -1,32 +1,35 @@
+import math
+
 import numpy as np
 import pytest
 
-from srrw import rk_profile_sampler
 from srrw import vectorwalk as vw
 from srrw.enumeration import edge_hit_profile_law
 from srrw.errors import SimulationBudgetError
 from srrw.harness import substream
+from srrw.rayknight import ABSORB_CAP_SLACK, tail_probe_site
+from srrw.walk import _as_generator
 
 
-def test_profile_anchors_at_m(sampler_exp, w_exp):
+def test_profile_anchors_at_m(sampler_exp):
     for seed in range(10):
-        prof = rk_profile_sampler(w_exp, 0, 4, seed=seed, sampler=sampler_exp)
+        prof = sampler_exp.sample_profile(0, 4, seed=seed)
         assert prof.l_plus(0) == 4
-        prof2 = rk_profile_sampler(w_exp, -3, 2, seed=seed, sampler=sampler_exp)
+        prof2 = sampler_exp.sample_profile(-3, 2, seed=seed)
         assert prof2.l_plus(-3) == 2
 
 
-def test_profile_rejects_degenerate(sampler_exp, w_exp):
+def test_profile_rejects_degenerate(sampler_exp):
     with pytest.raises(ValueError):
-        rk_profile_sampler(w_exp, 0, 0, seed=1, sampler=sampler_exp)
+        sampler_exp.sample_profile(0, 0, seed=1)
     with pytest.raises(ValueError):
-        rk_profile_sampler(w_exp, 2, 1, seed=1, sampler=sampler_exp)
+        sampler_exp.sample_profile(2, 1, seed=1)
 
 
-def test_profile_absorbs_right_of_origin(sampler_exp, w_exp):
+def test_profile_absorbs_right_of_origin(sampler_exp):
     # once the profile hits 0 at a site >= 1 it stays 0
     for seed in range(30):
-        prof = rk_profile_sampler(w_exp, 0, 3, seed=seed, sampler=sampler_exp)
+        prof = sampler_exp.sample_profile(0, 3, seed=seed)
         sites = prof.sites()
         vals = prof.lplus
         right = vals[sites >= 1]
@@ -35,17 +38,17 @@ def test_profile_absorbs_right_of_origin(sampler_exp, w_exp):
             assert (right[first:] == 0).all()
 
 
-def test_profile_total_time_parity(sampler_exp, w_exp):
+def test_profile_total_time_parity(sampler_exp):
     # T = 2 sum l+ + |x| - 1 lands at x+1, so T = x+1 (mod 2)
     for x, m, seed in ((0, 3, 0), (-1, 2, 1), (-4, 5, 2)):
-        prof = rk_profile_sampler(w_exp, x, m, seed=seed, sampler=sampler_exp)
+        prof = sampler_exp.sample_profile(x, m, seed=seed)
         assert prof.T == 2 * int(prof.lplus.sum()) + abs(x) - 1
         assert (prof.T - (x + 1)) % 2 == 0
 
 
-def test_profile_lminus_balance(sampler_exp, w_exp):
+def test_profile_lminus_balance(sampler_exp):
     # edge-crossing balance: interior |l+(y) - l-(y+1)|
-    prof = rk_profile_sampler(w_exp, -2, 3, seed=7, sampler=sampler_exp)
+    prof = sampler_exp.sample_profile(-2, 3, seed=7)
     for y in range(prof.site_lo, prof.site_lo + len(prof.lplus) - 1):
         lm = prof.l_minus(y + 1)
         lp = prof.l_plus(y)
@@ -147,3 +150,277 @@ def test_sweep_cap_raises_budget_error(sampler_exp, monkeypatch, side, run):
     monkeypatch.setattr(sampler_exp, "_advance", advance)
     with pytest.raises(SimulationBudgetError, match=f"{side} sweep failed to absorb within cap"):
         run(sampler_exp)
+
+
+def test_window_sweep_has_no_cap(sampler_exp, monkeypatch):
+    # a sweep with an end site stops there, even past the absorption cap
+    monkeypatch.setattr(sampler_exp, "_advance", lambda idx, rng: idx.copy())
+    y_hi = 4 * 3 + ABSORB_CAP_SLACK + 100
+    out = sampler_exp.batch_profile_window(0, 3, 4, seed=1, y_lo=-2, y_hi=y_hi)
+    assert (out[y_hi] == 2).all() and (out[-2] == 3).all()
+
+
+# -- bit-identity against the five hand-written sweeps ---------------------------
+#
+# The _ref_* functions keep the per-method sweeps the sampler had before its one
+# sweep engine, and _ref_lminus the per-site l- loop; the engine and its
+# consumers must reproduce their outputs exactly.
+
+
+def _ref_lminus(x, m, site_lo, lplus):
+    n = len(lplus)
+    lminus = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        y = site_lo + i
+        if y <= x:
+            lminus[i] = lplus[i - 1] if i >= 1 else 0
+        elif y == x + 1:
+            lminus[i] = m - 1 if x == 0 else m
+        elif y <= 0:
+            lminus[i] = lplus[i - 1] + 1
+        else:
+            lminus[i] = lplus[i - 1]
+    return lminus
+
+
+def _ref_profile(s, x, m, seed):
+    rng = _as_generator(seed)
+    right_vals = []
+    idx = s._boundary_index(x, m)
+    l = int(s._advance(np.array([idx]), rng)[0])
+    right_vals.append(l)
+    y = x + 2
+    while True:
+        if y <= 0:
+            idx = l + 1
+        else:
+            if l == 0:
+                break
+            idx = l
+        l = int(s._advance(np.array([idx]), rng)[0])
+        right_vals.append(l)
+        y += 1
+    left_vals = []
+    l = m
+    while l > 0:
+        l = int(s._advance(np.array([l]), rng)[0])
+        left_vals.append(l)
+    site_lo = x - len(left_vals)
+    lplus = np.array(left_vals[::-1] + [m] + right_vals, dtype=np.int64)
+    return site_lo, lplus, _ref_lminus(x, m, site_lo, lplus), 2 * int(lplus.sum()) + abs(x) - 1
+
+
+def _ref_window(s, x, m, R, seed, y_lo, y_hi):
+    rng = _as_generator(seed)
+    out = {}
+    if y_lo <= x <= y_hi:
+        out[x] = np.full(R, m, dtype=np.int64)
+    if y_hi >= x + 1:
+        l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+        if x + 1 >= y_lo:
+            out[x + 1] = l.copy()
+        for y in range(x + 2, y_hi + 1):
+            if y <= 0:
+                l = s._advance(l + 1, rng)
+            else:
+                alive = np.nonzero(l > 0)[0]
+                if len(alive):
+                    l = l.copy()
+                    l[alive] = s._advance(l[alive], rng)
+            if y_lo <= y:
+                out[y] = l.copy()
+    if y_lo <= x - 1:
+        l = np.full(R, m, dtype=np.int64)
+        for t in range(x - 1, y_lo - 1, -1):
+            alive = np.nonzero(l > 0)[0]
+            if len(alive):
+                l = l.copy()
+                l[alive] = s._advance(l[alive], rng)
+            out[t] = l.copy()
+    return out
+
+
+def _ref_tails(s, m, R, seed, g_m):
+    rng = _as_generator(seed)
+    sqrt_mg = math.sqrt(m * g_m)
+    x0 = tail_probe_site(m, g_m)
+    s_rho = math.ceil(2 * m + math.sqrt(m) * g_m)
+    l = s._advance(np.full(R, m - 1, dtype=np.int64), rng)
+    runmin = l.copy()
+    val_x0 = l.copy() if x0 == 1 else None
+    act = np.nonzero(l > 0)[0]
+    lact = l[act]
+    for y in range(2, s_rho + 1):
+        if len(act) == 0 and y > x0:
+            break
+        if len(act):
+            lact = s._advance(lact, rng)
+        if y <= x0:
+            runmin[act] = np.minimum(runmin[act], lact)
+            if y == x0:
+                val_x0 = np.zeros(R, dtype=np.int64)
+                val_x0[act] = lact
+        if len(act):
+            keep = lact > 0
+            act, lact = act[keep], lact[keep]
+    if val_x0 is None:
+        val_x0 = np.zeros(R, dtype=np.int64)
+    rho_hits = len(act)
+    t_lam = -s_rho - 1
+    act = np.arange(R)
+    lact = np.full(R, m, dtype=np.int64)
+    for _ in range(-1, t_lam - 1, -1):
+        if len(act) == 0:
+            break
+        lact = s._advance(lact, rng)
+        keep = lact > 0
+        act, lact = act[keep], lact[keep]
+    return {"rho": rho_hits, "lam": len(act), "l_gt": int((val_x0 >= 3.0 * sqrt_mg).sum()),
+            "l_lt": int((runmin <= sqrt_mg).sum()), "replicas": R, "x0": x0, "s_rho": s_rho}
+
+
+def _ref_total(s, x, m, R, seed):
+    rng = _as_generator(seed)
+    total = np.full(R, m, dtype=np.int64)
+    l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+    total += l
+    y = x + 2
+    while y <= 0:
+        l = s._advance(l + 1, rng)
+        total += l
+        y += 1
+    act = np.nonzero(l > 0)[0]
+    lact = l[act]
+    while len(act):
+        lact = s._advance(lact, rng)
+        total[act] += lact
+        keep = lact > 0
+        act, lact = act[keep], lact[keep]
+    act = np.arange(R)
+    lact = np.full(R, m, dtype=np.int64)
+    while len(act):
+        lact = s._advance(lact, rng)
+        total[act] += lact
+        keep = lact > 0
+        act, lact = act[keep], lact[keep]
+    return 2 * total + abs(x) - 1
+
+
+def _ref_boundary(s, x, m, R, seed, boundary):
+    rng = _as_generator(seed)
+    w1 = np.zeros(R, dtype=np.int64)
+    w2 = np.zeros(R, dtype=np.int64)
+    l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+    y = x + 1
+    if y > boundary:
+        w1 += l
+    while y + 1 <= 0:
+        y += 1
+        l = s._advance(l + 1, rng)
+        if y > boundary:
+            w1 += l
+    act = np.nonzero(l > 0)[0]
+    lact = l[act]
+    while len(act):
+        y += 1
+        lact = s._advance(lact, rng)
+        if y > boundary:
+            w1[act] += lact
+        keep = lact > 0
+        act, lact = act[keep], lact[keep]
+    act = np.arange(R)
+    lact = np.full(R, m, dtype=np.int64)
+    t = x
+    while len(act):
+        t -= 1
+        lact = s._advance(lact, rng)
+        if t < -boundary:
+            w2[act] += lact
+        keep = lact > 0
+        act, lact = act[keep], lact[keep]
+    return w1, w2
+
+
+@pytest.fixture(params=["exp", "ramp"])
+def sampler(request, sampler_exp, sampler_ramp):
+    return sampler_exp if request.param == "exp" else sampler_ramp
+
+
+@pytest.mark.parametrize("x", [0, -1, -4])
+@pytest.mark.parametrize("m", [1, 2, 7, 40])
+def test_sample_profile_matches_reference(sampler, x, m):
+    for seed in range(12):
+        prof = sampler.sample_profile(x, m, seed=seed)
+        site_lo, lplus, lminus, T = _ref_profile(sampler, x, m, seed)
+        assert prof.site_lo == site_lo and prof.T == T
+        assert np.array_equal(prof.lplus, lplus) and np.array_equal(prof.lminus, lminus)
+
+
+@pytest.mark.parametrize("x", [0, -1, -4])
+@pytest.mark.parametrize("m", [1, 3, 25])
+def test_derive_lminus_matches_reference(sampler_exp, x, m):
+    rng = np.random.default_rng(100 - x)
+    for n_left in (0, 1, 5):
+        for n_right in range(abs(x) + 1, abs(x) + 8):
+            lplus = rng.integers(0, 3 * m + 2, size=n_left + 1 + n_right)
+            site_lo = x - n_left
+            assert np.array_equal(sampler_exp._derive_lminus(x, m, site_lo, lplus),
+                                  _ref_lminus(x, m, site_lo, lplus))
+
+
+@pytest.mark.parametrize("x,m,y_lo,y_hi", [
+    (0, 1, -5, 5),
+    (-1, 3, -12, 12),
+    (-4, 7, -40, 45),
+    (-1, 3, -8, -1),   # y_hi = x: no right sweep
+    (-4, 5, -20, -5),  # y_hi = x - 1
+    (-1, 3, -1, 9),    # y_lo = x: no left sweep
+    (0, 4, 1, 10),     # y_lo = x + 1
+    (-4, 5, 2, 9),     # window right of the sites in (x, 0]
+])
+def test_profile_window_matches_reference(sampler, x, m, y_lo, y_hi):
+    got = sampler.batch_profile_window(x, m, 700, 21, y_lo, y_hi)
+    want = _ref_window(sampler, x, m, 700, 21, y_lo, y_hi)
+    assert sorted(got) == sorted(want) == list(range(y_lo, y_hi + 1))
+    assert all(np.array_equal(got[y], want[y]) for y in want)
+
+
+def test_profile_window_keeps_to_the_window(sampler_exp):
+    # the per-method sweep also returned left sites above y_hi < x - 1
+    got = sampler_exp.batch_profile_window(-4, 5, 300, 22, -20, -7)
+    want = _ref_window(sampler_exp, -4, 5, 300, 22, -20, -7)
+    assert sorted(got) == list(range(-20, -6)) and set(want) - set(got) == {-6, -5}
+    assert all(np.array_equal(got[y], want[y]) for y in got)
+
+
+@pytest.mark.parametrize("m,g_m,R,seeds", [
+    (100, 1.0, 3000, (0, 1)),      # every event has mass
+    (1000, 47.7, 400, (0, 1)),     # criterion 9's g = log^2 m
+    (8, 1.6, 2000, (0, 1, 2)),     # x0 == 1
+    (2, 0.001, 8, (0, 10, 23)),    # every replica absorbed before x0 = 3
+])
+def test_tail_events_matches_reference(sampler, m, g_m, R, seeds):
+    for seed in seeds:
+        got = sampler.batch_tail_events(m, R, seed, g_m)
+        assert got == _ref_tails(sampler, m, R, seed, g_m)
+        if m == 8:
+            assert got["x0"] == 1
+        if m == 2:
+            # the same right sweep, read through the window consumer
+            prof = sampler.batch_profile_window(0, m, R, seed, 1, got["x0"])
+            assert got["x0"] == 3 and (prof[2] == 0).all()
+
+
+@pytest.mark.parametrize("x", [0, -1, -4])
+@pytest.mark.parametrize("m", [1, 3, 12])
+def test_total_time_matches_reference(sampler, x, m):
+    assert np.array_equal(sampler.batch_total_time(x, m, 3000, 5), _ref_total(sampler, x, m, 3000, 5))
+
+
+@pytest.mark.parametrize("x", [0, -1, -4])
+@pytest.mark.parametrize("boundary", [-2.5, 0.0, 1.5, 6.0, 1e9])
+def test_boundary_sums_matches_reference(sampler, x, boundary):
+    for m in (1, 5):
+        got = sampler.batch_boundary_sums(x, m, 2000, 9, boundary)
+        want = _ref_boundary(sampler, x, m, 2000, 9, boundary)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))

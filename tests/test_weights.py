@@ -4,25 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srrw import EvaluationRangeError, InvalidWeightError, WeightFunction, step_probability
+from srrw import EvaluationRangeError, InvalidWeightError, WeightFunction
 
 
 def test_step_probability_fresh_site_is_half(w_exp, w_ramp):
-    assert step_probability(w_exp, 0) == 0.5
-    assert step_probability(w_ramp, 0) == 0.5
+    assert w_exp.p_right(0) == 0.5
+    assert w_ramp.p_right(0) == 0.5
 
 
 def test_step_probability_exp_unit_values(w_exp):
     e = math.e
-    assert step_probability(w_exp, 1) == pytest.approx(math.exp(-1) / (e + math.exp(-1)), rel=1e-12)
-    assert step_probability(w_exp, 1) == pytest.approx(0.1192, abs=5e-5)
-    assert step_probability(w_exp, -1) == pytest.approx(0.8808, abs=5e-5)
+    assert w_exp.p_right(1) == pytest.approx(math.exp(-1) / (e + math.exp(-1)), rel=1e-12)
+    assert w_exp.p_right(1) == pytest.approx(0.1192, abs=5e-5)
+    assert w_exp.p_right(-1) == pytest.approx(0.8808, abs=5e-5)
 
 
 @given(d=st.integers(-60, 60), rate=st.floats(0.1, 3.0))
 def test_step_probability_mirror_identity(d, rate):
     w = WeightFunction("exponential", (rate,))
-    assert step_probability(w, -d) == pytest.approx(1.0 - step_probability(w, d), abs=1e-12)
+    assert w.p_right(-d) == pytest.approx(1.0 - w.p_right(d), abs=1e-12)
 
 
 def test_exp_shortcut_matches_generic_formula():
