@@ -15,7 +15,10 @@ tail campaign's g = log^2 m (the same draw figures, and a sha256 of the
 event counts), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
-above the high-water mark the imports left).  Every tree named (this
+above the high-water mark the imports left).  The first DP run of each tree
+saves its occupied box; the report's "dp_agreement" gives, per N, both
+trees' box and truncated_mass and the largest absolute cell difference
+between them.  Every tree named (this
 checkout as "change", --baseline as "parent") is run with PYTHONPATH pointing
 at its own src/.  There are REPEATS pairs of runs per case, alternating which
 tree goes first; the medians, every sample and the parent/change ratio of
@@ -34,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from importlib.metadata import version
 from pathlib import Path
@@ -124,8 +128,10 @@ def child_tails() -> dict:
     }
 
 
-def child_dp(N: int) -> dict:
+def child_dp(N: int, save: str | None = None) -> dict:
     import resource
+
+    import numpy as np
 
     from srrw.lclt import exact_bivariate_pmf, stationary_step_law
     from srrw.weights import WeightFunction
@@ -140,6 +146,8 @@ def child_dp(N: int) -> dict:
     # computed, not counted: step-law atoms x DP steps x final box cells
     cells = int((law.probs > 0).sum()) * N * (ahi - alo) * (bhi - blo)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    if save:
+        np.save(save, pmf.occupied())
     return {
         "wall_s": wall,
         "cells": cells,
@@ -148,7 +156,28 @@ def child_dp(N: int) -> dict:
         "peak_rss_mb": peak_rss_mb,
         "dp_rss_mb": peak_rss_mb - base_rss_mb,
         "truncated_mass": pmf.truncated_mass,
+        "box": list(pmf.box),
     }
+
+
+def dp_agreement(saved: dict) -> dict:
+    """Per N: each tree's box and truncated_mass, and the largest absolute
+    cell difference between the trees' saved boxes (None if the boxes differ)."""
+    import numpy as np
+
+    out = {}
+    for n in SIZES:
+        runs = {label: saved[label][n] for label in saved}
+        arrs = {label: np.load(r["path"]) for label, r in runs.items()}
+        same = len({tuple(r["box"]) for r in runs.values()}) == 1
+        first, *rest = arrs.values()
+        out[str(n)] = {
+            "box": {label: r["box"] for label, r in runs.items()},
+            "truncated_mass": {label: r["truncated_mass"] for label, r in runs.items()},
+            "box_equal": same,
+            "max_abs_cell_diff": max((float(np.abs(a - first).max()) for a in rest), default=0.0) if same else None,
+        }
+    return out
 
 
 def measure(tree: Path, what: list) -> dict:
@@ -196,7 +225,7 @@ def main(argv=None) -> int:
         elif args.child[0] == "tails":
             res = child_tails()
         else:
-            res = child_dp(int(args.child[1]))
+            res = child_dp(int(args.child[1]), *args.child[2:])
         import srrw
 
         print(json.dumps({**res, "srrw_file": srrw.__file__}))
@@ -209,13 +238,20 @@ def main(argv=None) -> int:
         trees = {"parent": args.baseline.resolve(), **trees}
     cases = [["import"], ["walk"], ["rayknight"], ["tails"]] + [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
-    for rep in range(REPEATS):
-        order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
-        for case in cases:
-            for label in order:
-                res = measure(trees[label], case)
-                samples[label][" ".join(case)].append(res)
-                print(f"[{rep}] {label:6s} {' '.join(case):8s} {res['wall_s']:8.3f} s", file=sys.stderr)
+    saved = {label: {} for label in trees}
+    with tempfile.TemporaryDirectory(prefix="srrw-bench-") as scratch:
+        for rep in range(REPEATS):
+            order = list(trees) if rep % 2 == 0 else list(trees)[::-1]
+            for case in cases:
+                for label in order:
+                    # the first DP run of each tree saves its box for dp_agreement
+                    save = [str(Path(scratch) / f"{label}-{case[1]}.npy")] if case[0] == "dp" and rep == 0 else []
+                    res = measure(trees[label], case + save)
+                    samples[label][" ".join(case)].append(res)
+                    if save:
+                        saved[label][int(case[1])] = {**res, "path": save[0]}
+                    print(f"[{rep}] {label:6s} {' '.join(case):8s} {res['wall_s']:8.3f} s", file=sys.stderr)
+        agreement = dp_agreement(saved)
 
     runs = {}
     for label, tree in trees.items():
@@ -235,6 +271,7 @@ def main(argv=None) -> int:
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
         "runs": runs,
+        "dp_agreement": agreement,
     }
     if "parent" in runs:
         names = {("import", "wall_s"): "import_srrw_cli",

@@ -13,7 +13,7 @@ import time
 from pathlib import Path
 
 import srrw
-from srrw.reporting import RunManifest
+from srrw.reporting import RunManifest, code_version
 
 
 def main():
@@ -51,7 +51,7 @@ def main():
         outdir = root / cfg.kind
         outdir.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, srrw.__version__)
+        manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, code_version())
         manifest.write(outdir / "manifest.json")
         report = srrw.run_campaign(cfg)
         manifest.outputs = report.write_outputs(outdir)

@@ -20,7 +20,7 @@ from .eta import EtaKernel, stationary_distribution
 from .harness import config_from_dict, load_expectations, map_blocks, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, stationary_step_law
 from .rayknight import RayKnightSampler
-from .reporting import RunManifest, dump_json, write_csv
+from .reporting import RunManifest, code_version, dump_json, write_csv
 from .walk import range_extremes, simulate_walk
 from .weights import WeightFunction
 
@@ -60,7 +60,7 @@ def cmd_simulate(args) -> int:
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "steps": args.steps, "seed": args.seed}
-    manifest = RunManifest("simulate", config, args.seed, __version__)
+    manifest = RunManifest("simulate", config, args.seed, code_version())
     _begin(args, manifest, outdir)
     t = simulate_walk(args.w, args.steps, substream(args.seed, 0))
     rho, lam = range_extremes(t, len(t))
@@ -86,7 +86,7 @@ def cmd_stationary(args) -> int:
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "window": args.window}
-    manifest = RunManifest("stationary", config, args.seed, __version__)
+    manifest = RunManifest("stationary", config, args.seed, code_version())
     _begin(args, manifest, outdir)
     res = stationary_distribution(EtaKernel(args.w), window=(-args.window, args.window))
     rows = [
@@ -115,7 +115,7 @@ def cmd_profile(args) -> int:
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
-    manifest = RunManifest("profile", config, args.seed, __version__)
+    manifest = RunManifest("profile", config, args.seed, code_version())
     _begin(args, manifest, outdir)
     sampler = RayKnightSampler(args.w)
     y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
@@ -150,7 +150,7 @@ def cmd_lclt(args) -> int:
     outdir = _outdir(args)
     t0 = time.perf_counter()
     config = {"w": args.w.spec(), "N": args.N, "law": args.law, "box": args.box, "stride": args.stride}
-    manifest = RunManifest("lclt", config, args.seed, __version__)
+    manifest = RunManifest("lclt", config, args.seed, code_version())
     _begin(args, manifest, outdir)
     step_law = stationary_step_law(args.w)
     pmf = exact_bivariate_pmf(step_law, args.N)
@@ -244,7 +244,7 @@ def cmd_campaign(args) -> int:
         print(f"bad campaign config: {exc}", file=sys.stderr)
         return USAGE_ERROR
     outdir = _outdir(args)
-    manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, __version__)
+    manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, code_version())
     _begin(args, manifest, outdir)
     report = run_campaign(cfg)
     outputs = report.write_outputs(outdir)

@@ -27,6 +27,7 @@ from .weights import WeightFunction
 DEFAULT_EPS_TAIL = 1e-14
 DEFAULT_WINDOW = (-40, 40)
 GUIDE_K = 1024  # guide cells per CDF row; a power of two keeps k/K exact
+TV_FLOOR = 1e-10  # the mixing cutoff may stop on a stalled TV only below this
 
 
 @dataclass
@@ -224,7 +225,7 @@ class MarginalTable:
     """Laws of the chain state after j steps from 0, up to mixing cutoff.
 
     Row j (j <= j_star) is the exact j-step marginal on the window; beyond
-    j_star every marginal is within tv_at_cutoff (< ~1e-14) of the stationary
+    j_star every marginal is within tv_at_cutoff (< TV_FLOOR) of the stationary
     law, so the stationary row stands in for all larger indices.
 
     Draws invert the CDFs with a guide table (Chen & Asau 1974).  The lookup
@@ -289,6 +290,11 @@ def marginal_law_table(
     j_cap: int = 5000,
     stationary: Optional[StationaryResult] = None,
 ) -> MarginalTable:
+    """Exact j-step marginals from state 0 until they are within tv_cutoff of
+    the stationary law in total variation.  A slowly contracting TV (less than
+    2x per step) ends the table early only once it is below TV_FLOOR, where
+    it has met the numeric floor of nu itself; ConvergenceError if j_cap is
+    reached above TV_FLOOR."""
     lo, hi = window
     P, _ = kernel.window_matrix(lo, hi)
     if stationary is None:
@@ -308,9 +314,12 @@ def marginal_law_table(
             v = v / s
         rows.append(v.copy())
         tv = 0.5 * float(np.abs(v - nu).sum())
-        if j >= j_min and (tv < tv_cutoff or tv > 0.5 * prev_tv):
+        if j >= j_min and (tv < tv_cutoff or TV_FLOOR > tv > 0.5 * prev_tv):
             break  # converged, or hit the numeric floor of nu itself
         prev_tv = tv
+    else:
+        if tv >= TV_FLOOR:
+            raise ConvergenceError(f"j-step marginals still {tv:.3g} from stationary in TV at j_cap={j_cap}")
     mat = np.vstack(rows)
     cdfs = np.cumsum(mat, axis=1)
     cdfs /= cdfs[:, -1:]

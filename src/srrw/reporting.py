@@ -13,6 +13,8 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 SCHEMA_MANIFEST = "srrw.manifest/1"
 SCHEMA_RESULTS = "srrw.results/1"
 
@@ -111,12 +113,35 @@ class StatsReport:
         return paths
 
 
+def code_version() -> dict:
+    """The code and libraries a run used: the srrw and numpy versions (the
+    Philox streams belong to numpy), the BLAS numpy links (the exact DP's last
+    bits depend on its kernels) and the git commit when srrw runs from a
+    checkout.  Manifest-only: result files must not depend on it."""
+    from . import __version__
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    root = Path(__file__).resolve().parents[2]
+    commit = None
+    if (root / ".git").exists():
+        import subprocess  # about 0.5 MB of modules, paid only in a checkout
+
+        try:
+            proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"],
+                                  capture_output=True, text=True, timeout=10)
+            commit = proc.stdout.strip() or None
+        except (OSError, subprocess.SubprocessError):
+            pass
+    return {"srrw": __version__, "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}, "git_commit": commit}
+
+
 @dataclass
 class RunManifest:
     subcommand: str
     config: dict
     master_seed: int
-    code_version: str
+    code_version: dict
     outputs: list = field(default_factory=list)
     wall_clock_s: float | None = None
     error: str | None = None  # the SrrwError that ended a failed run

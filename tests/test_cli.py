@@ -1,11 +1,14 @@
 import csv
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import srrw
 from srrw.cli import main
 
 
@@ -49,6 +52,13 @@ def test_stationary_json(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["wall_clock_s"] > 0
     assert manifest["error"] is None
+    # which code and libraries produced the run, in the manifest only
+    version = manifest["code_version"]
+    assert version["srrw"] == srrw.__version__ and version["numpy"] == np.__version__
+    assert version["blas"]["name"] and version["blas"]["version"]
+    if (Path(srrw.__file__).resolve().parents[2] / ".git").exists():
+        assert re.fullmatch(r"[0-9a-f]{40}", version["git_commit"])
+    assert "code_version" not in (out / "stationary.json").read_text()
 
 
 def test_profile_command(tmp_path):

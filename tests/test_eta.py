@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srrw import (
+    ConvergenceError,
     DivergingTailError,
     EtaKernel,
     WeightFunction,
@@ -12,7 +13,7 @@ from srrw import (
     sample_eta_chain,
     stationary_distribution,
 )
-from srrw.eta import _row_from_p, marginal_law_table
+from srrw.eta import TV_FLOOR, _row_from_p, marginal_law_table
 from srrw.walk import _as_generator
 
 
@@ -162,6 +163,26 @@ def test_marginal_table_matches_matrix_powers(kernel_exp, stationary_exp):
         row = np.diff(np.concatenate(([0.0], table.cdfs[j])))
         assert np.abs(row - v / v.sum()).max() < 1e-12
         v = v @ P
+
+
+@pytest.mark.parametrize("spec", ["ramp:0.05:1", "exp:0.1", "exp:1", "ramp:1:1"])
+def test_mixing_cutoff_against_matrix_powers(spec):
+    # ramp:0.05:1 and exp:0.1 mix slowly: TV contracts by less than 2x per step
+    # while it is still far above the numeric floor of nu
+    kernel = EtaKernel(WeightFunction.parse(spec))
+    stationary = stationary_distribution(kernel)
+    table = marginal_law_table(kernel, stationary.window, stationary=stationary)
+    lo, hi = stationary.window
+    P, _ = kernel.window_matrix(lo, hi)
+    row = np.linalg.matrix_power(P, table.j_star)[-lo]
+    row /= row.sum()
+    tv = 0.5 * np.abs(row - stationary.nu.probs).sum()
+    assert tv < TV_FLOOR
+    assert table.tv_at_cutoff == pytest.approx(tv, rel=1e-3, abs=1e-15)
+    assert np.abs(np.diff(table.cdfs[-1], prepend=0.0) - row).max() < 1e-12
+    if table.tv_at_cutoff > 1e-12:
+        with pytest.raises(ConvergenceError):
+            marginal_law_table(kernel, stationary.window, j_cap=table.j_star - 1, stationary=stationary)
 
 
 def test_marginal_table_draw_law(kernel_exp, stationary_exp):

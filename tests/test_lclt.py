@@ -19,6 +19,7 @@ from srrw import (
     stationary_step_law,
 )
 from srrw.eta import Lattice1DDistribution
+from srrw.lclt import _CLIP_SLACK, DEFAULT_SD_CAP, BivariatePMF
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,127 @@ def test_support_budget_error(step_law):
     with pytest.raises(SupportBudgetError) as ei:
         exact_bivariate_pmf(step_law, 4000, cell_budget=1_000_000)
     assert ei.value.suggested_n is not None and ei.value.suggested_n < 4000
+
+
+def test_support_budget_counts_the_padded_grid(step_law, pmf100):
+    # the budget covers each flat buffer as allocated: pad columns and slack included
+    cells = pmf100.arr.base.size
+    assert cells > pmf100.arr.size
+    exact_bivariate_pmf(step_law, 100, cell_budget=cells)
+    with pytest.raises(SupportBudgetError):
+        exact_bivariate_pmf(step_law, 100, cell_budget=cells - 1)
+
+
+# _ref_exact_bivariate_pmf keeps the earlier row-tile DP as the reference.  It
+# adds the atoms into each cell one at a time in the step law's order; the
+# banded-product DP sums them in BLAS's order, so cells may differ in their
+# last bits, but the box, the clipping and the mass must be the same.
+
+
+def _ref_exact_bivariate_pmf(step_law, N, sd_cap=DEFAULT_SD_CAP, tile_cells=1 << 16):
+    h = step_law.lo + np.arange(len(step_law.probs))
+    p = step_law.probs.astype(np.float64)
+    keep = p > 0
+    h, p = h[keep], p[keep]
+    sigma = math.sqrt(step_law.variance())
+    c = (N + 1) // 2
+    w2 = np.sqrt(np.cumsum(np.array([(j - c) ** 2 for j in range(1, N + 1)], dtype=np.float64)))
+    clip_a_final = int(math.ceil(sd_cap * sigma * math.sqrt(N))) + _CLIP_SLACK
+    clip_b_final = int(math.ceil(sd_cap * sigma * w2[-1])) + _CLIP_SLACK
+    h_span = int(h[-1] - h[0])
+    HA = 2 * (clip_a_final + h_span + 4) + 1
+    HB = 2 * (clip_b_final + 8) + 1
+    center_a, center_b = HA // 2, HB // 2
+    cur = np.zeros((HA, HB))
+    nxt = np.zeros((HA, HB))
+    scratch = np.empty(max(tile_cells, HB))
+    cur[center_a, center_b] = 1.0
+    alo, ahi, blo, bhi = center_a, center_a + 1, center_b, center_b + 1
+    par_a = par_b = 0
+    truncated = 0.0
+    for j in range(1, N + 1):
+        wj = j - c
+        par_a_new = 1 - par_a
+        par_b_new = (par_b + wj) % 2
+        shift_a = h + par_a
+        shift_b = wj * h + (par_b + wj - par_b_new) // 2
+        clip_a = min(int(math.ceil(sd_cap * sigma * math.sqrt(j))) + _CLIP_SLACK, clip_a_final + h_span)
+        clip_b = min(int(math.ceil(sd_cap * sigma * w2[j - 1])) + _CLIP_SLACK, clip_b_final)
+        ta_lo = max(alo + int(shift_a.min()), center_a - clip_a)
+        ta_hi = min(ahi + int(shift_a.max()), center_a + clip_a + 1)
+        tb_lo = max(blo + int(shift_b.min()), center_b - clip_b)
+        tb_hi = min(bhi + int(shift_b.max()), center_b + clip_b + 1)
+        moves = []
+        for pi, sa, sb in zip(p, shift_a, shift_b):
+            sa, sb = int(sa), int(sb)
+            sa_lo = max(alo, ta_lo - sa)
+            sa_hi = min(ahi, ta_hi - sa)
+            sb_lo = max(blo, tb_lo - sb)
+            sb_hi = min(bhi, tb_hi - sb)
+            if sa_lo >= sa_hi or sb_lo >= sb_hi:
+                truncated += pi * float(cur[alo:ahi, blo:bhi].sum())
+                continue
+            moves.append((pi, sa, sb, sa_lo, sa_hi, sb_lo, sb_hi))
+            if (sa_lo, sa_hi, sb_lo, sb_hi) != (alo, ahi, blo, bhi):
+                off = (
+                    float(cur[alo:sa_lo, blo:bhi].sum())
+                    + float(cur[sa_hi:ahi, blo:bhi].sum())
+                    + float(cur[sa_lo:sa_hi, blo:sb_lo].sum())
+                    + float(cur[sa_lo:sa_hi, sb_hi:bhi].sum())
+                )
+                truncated += pi * off
+        tile_rows = max(1, tile_cells // (tb_hi - tb_lo))
+        for r0 in range(ta_lo, ta_hi, tile_rows):
+            r1 = min(r0 + tile_rows, ta_hi)
+            nxt[r0:r1, tb_lo:tb_hi] = 0.0
+            for pi, sa, sb, sa_lo, sa_hi, sb_lo, sb_hi in moves:
+                lo = max(r0, sa_lo + sa)
+                hi = min(r1, sa_hi + sa)
+                if lo >= hi:
+                    continue
+                tgt = nxt[lo:hi, sb_lo + sb:sb_hi + sb]
+                tmp = scratch[:tgt.size].reshape(tgt.shape)
+                np.multiply(cur[lo - sa:hi - sa, sb_lo:sb_hi], pi, out=tmp)
+                np.add(tgt, tmp, out=tgt)
+        cur, nxt = nxt, cur
+        alo, ahi, blo, bhi = ta_lo, ta_hi, tb_lo, tb_hi
+        par_a, par_b = par_a_new, par_b_new
+    return BivariatePMF(N=N, step_law=step_law, c=c, arr=cur, center_a=center_a, center_b=center_b,
+                        par_a=par_a, par_b=par_b, box=(alo, ahi, blo, bhi), truncated_mass=truncated)
+
+
+@pytest.fixture(scope="module")
+def step_law_ramp(w_ramp):
+    return stationary_step_law(w_ramp)
+
+
+@pytest.mark.parametrize("sd_cap", [DEFAULT_SD_CAP, 2.0])
+@pytest.mark.parametrize("N", [1, 2, 7, 30, 120])
+@pytest.mark.parametrize("law_name", ["exp", "ramp", "one_sided"])
+def test_dp_matches_reference(request, law_name, N, sd_cap):
+    if law_name == "one_sided":
+        # every step moves Y up, so the box drifts and leaves stale rows behind
+        law = Lattice1DDistribution(0, np.array([0.3, 0.7]), 0.5)
+    else:
+        law = request.getfixturevalue("step_law" if law_name == "exp" else "step_law_ramp")
+    ref = _ref_exact_bivariate_pmf(law, N, sd_cap)
+    pmf = exact_bivariate_pmf(law, N, sd_cap)
+    assert pmf.box == ref.box
+    assert (pmf.center_a, pmf.center_b, pmf.par_a, pmf.par_b) == (ref.center_a, ref.center_b, ref.par_a, ref.par_b)
+    # the strip sums read cells that may differ in their last bits
+    assert abs(pmf.truncated_mass - ref.truncated_mass) <= 1e-13 * ref.truncated_mass
+    got, want = pmf.occupied(), ref.occupied()
+    assert np.abs(got - want).max(initial=0.0) <= 1e-15
+    big = want > 1e-200
+    assert (np.abs(got - want)[big] <= 1e-13 * want[big]).all()
+    assert (got[~big] <= 1e-200).all()
+    if sd_cap == 2.0 and N >= 30 and law_name != "one_sided":
+        # clipping applied on both axes: the box is narrower than the support
+        h_span = len(law.probs) - 1
+        alo, ahi, blo, bhi = ref.box
+        assert ahi - alo < N * h_span + 1
+        assert bhi - blo < sum(abs(j - ref.c) for j in range(1, N + 1)) * h_span + 1
+        assert ref.truncated_mass > 1e-4
 
 
 def test_gaussian_predicted_center():
