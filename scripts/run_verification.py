@@ -5,15 +5,28 @@ A lighter-weight mirror of the acceptance suite, useful for exploring other
 weights or scales:
 
     python scripts/run_verification.py --out runs/verify --seed 1 --scale 0.2
+
+Each campaign runs through `srrw campaign` with its default configuration,
+its replica counts multiplied by --scale, into OUT/<kind>.
 """
 
 import argparse
+import json
 import sys
-import time
 from pathlib import Path
 
-import srrw
-from srrw.reporting import RunManifest, code_version
+from srrw import cli
+from srrw.harness import CONFIG_KINDS
+
+# the replica-count fields --scale multiplies, with the least count each keeps
+SCALED = {
+    "endpoint": {"replicas": 1000},
+    "lclt_table": {"replicas": 10_000},
+    "profile_shape": {"replicas": 40},
+    "tails": {"replicas_per_m": 500},
+    "inverse_time": {"replicas": 50_000, "cross_replicas": 20_000},
+    "wterms": {"replicas": 1000},
+}
 
 
 def main():
@@ -25,46 +38,20 @@ def main():
     ap.add_argument("--scale", type=float, default=1.0,
                     help="replica multiplier (use < 1 for a quick pass)")
     args = ap.parse_args()
-    w = srrw.WeightFunction.parse(args.w).spec()
-    s = args.scale
 
-    campaigns = [
-        srrw.EndpointConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                            n_ladder=(50, 100, 200), replicas=max(int(100_000 * s), 1000)),
-        srrw.LcltTableConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                             n=60, replicas=max(int(1_000_000 * s), 10_000), alpha=0.6),
-        srrw.ProfileShapeConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                                k_ladder=(10_000, 40_000, 160_000), replicas=max(int(200 * s), 40)),
-        srrw.TailConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                        m_ladder=(1_000, 10_000, 100_000),
-                        replicas_per_m=tuple(max(int(r * s), 500) for r in (20_000, 20_000, 4_000))),
-        srrw.InverseTimeConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                               n=24, replicas=max(int(10_000_000 * s), 50_000),
-                               cross_replicas=max(int(1_000_000 * s), 20_000)),
-        srrw.WTermsConfig(weight=w, master_seed=args.seed, threads=args.threads,
-                          n_ladder=(50, 100, 200), replicas=max(int(20_000 * s), 1000)),
-    ]
-
-    root = Path(args.out)
     failed = []
-    for cfg in campaigns:
-        outdir = root / cfg.kind
-        outdir.mkdir(parents=True, exist_ok=True)
-        t0 = time.perf_counter()
-        manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, code_version())
-        manifest.write(outdir / "manifest.json")
-        report = srrw.run_campaign(cfg)
-        manifest.outputs = report.write_outputs(outdir)
-        manifest.wall_clock_s = time.perf_counter() - t0
-        manifest.write(outdir / "manifest.json")
-        status = "PASS" if report.passed() else "FAIL"
-        print(f"[{status}] {cfg.kind}: {manifest.wall_clock_s:.1f}s -> {outdir}")
-        for c in report.checks:
-            if not c.passed:
-                print(f"    FAIL {c.name}: {c.detail}")
-                failed.append(f"{cfg.kind}.{c.name}")
+    for kind, floors in SCALED.items():
+        argv = ["campaign", "--kind", kind.replace("_", "-"), "--w", args.w, "--seed", str(args.seed),
+                "--threads", str(args.threads), "--out", str(Path(args.out) / kind)]
+        for name, floor in floors.items():
+            default = getattr(CONFIG_KINDS[kind], name)
+            scaled = [max(int(r * args.scale), floor) for r in default] if isinstance(default, tuple) \
+                else max(int(default * args.scale), floor)
+            argv += ["--param", f"{name}={json.dumps(scaled)}"]
+        if cli.main(argv) != 0:
+            failed.append(kind)
     if failed:
-        print("failed checks:", failed)
+        print("failed campaigns:", failed)
         return 1
     return 0
 

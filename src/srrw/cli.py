@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .errors import CampaignConfigError, InvalidWeightError, SrrwError
 from .eta import EtaKernel, stationary_distribution
-from .harness import config_from_dict, load_expectations, map_blocks, run_campaign, substream
+from .harness import CampaignConfig, _blocks, config_from_dict, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, stationary_step_law
 from .rayknight import RayKnightSampler
 from .reporting import RunManifest, code_version, dump_json, write_csv
@@ -35,33 +35,30 @@ def _weight(text: str) -> WeightFunction:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _outdir(args) -> Path:
-    out = args.out
-    if out is None:
-        out = f"srrw-out-{time.strftime('%Y%m%d-%H%M%S')}"
-    p = Path(out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _finish(manifest: RunManifest, outdir: Path, watch_t0: float, outputs: list) -> None:
-    manifest.outputs = [str(o) for o in outputs]
-    manifest.wall_clock_s = time.perf_counter() - watch_t0
+def _start(args, config: dict, seed) -> Path:
+    """Create the output directory and write the manifest of a started run;
+    _finish completes it, and main() records an SrrwError raised in between."""
+    outdir = Path(args.out or f"srrw-out-{time.strftime('%Y%m%d-%H%M%S')}")
+    outdir.mkdir(parents=True, exist_ok=True)
+    manifest = RunManifest(args.command, config, seed, code_version())
     manifest.write(outdir / "manifest.json")
+    args.started = (manifest, outdir, time.perf_counter())
+    return outdir
 
 
-def _begin(args, manifest: RunManifest, outdir: Path) -> None:
-    """Write the manifest of a started run; main() records an SrrwError raised after this in it."""
+def _finish(args, outputs=(), error: SrrwError | None = None) -> None:
+    """Record a started run's outputs and wall time, or the error that ended it."""
+    manifest, outdir, t0 = args.started
+    if error is None:
+        manifest.outputs = [str(o) for o in outputs]
+        manifest.wall_clock_s = time.perf_counter() - t0
+    else:
+        manifest.error = str(error)
     manifest.write(outdir / "manifest.json")
-    args.started = (manifest, outdir)
 
 
 def cmd_simulate(args) -> int:
-    outdir = _outdir(args)
-    t0 = time.perf_counter()
-    config = {"w": args.w.spec(), "steps": args.steps, "seed": args.seed}
-    manifest = RunManifest("simulate", config, args.seed, code_version())
-    _begin(args, manifest, outdir)
+    outdir = _start(args, {"w": args.w.spec(), "steps": args.steps, "seed": args.seed}, args.seed)
     t = simulate_walk(args.w, args.steps, substream(args.seed, 0))
     rho, lam = range_extremes(t, len(t))
     rows = [
@@ -77,17 +74,13 @@ def cmd_simulate(args) -> int:
         "rho": "" if rho is None else rho,
         "lam": "" if lam is None else lam,
     }])
-    _finish(manifest, outdir, t0, [lt_path, summary_path])
+    _finish(args, [lt_path, summary_path])
     print(f"simulate: {args.steps} steps, X = {int(t.positions[-1])}, outputs in {outdir}")
     return 0
 
 
 def cmd_stationary(args) -> int:
-    outdir = _outdir(args)
-    t0 = time.perf_counter()
-    config = {"w": args.w.spec(), "window": args.window}
-    manifest = RunManifest("stationary", config, args.seed, code_version())
-    _begin(args, manifest, outdir)
+    outdir = _start(args, {"w": args.w.spec(), "window": args.window}, args.seed)
     res = stationary_distribution(EtaKernel(args.w), window=(-args.window, args.window))
     rows = [
         {"eta": int(v), "nu_prob": float(p), "r_value": float(v) + 0.5, "r_prob": float(p)}
@@ -106,25 +99,23 @@ def cmd_stationary(args) -> int:
     }
     json_path = outdir / "stationary.json"
     dump_json(json_path, payload)
-    _finish(manifest, outdir, t0, [law_path, json_path])
+    _finish(args, [law_path, json_path])
     print(f"stationary: mean {res.mean:.8f}, sigma2 {res.sigma2:.8f}, outputs in {outdir}")
     return 0
 
 
 def cmd_profile(args) -> int:
-    outdir = _outdir(args)
-    t0 = time.perf_counter()
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
-    manifest = RunManifest("profile", config, args.seed, code_version())
-    _begin(args, manifest, outdir)
+    outdir = _start(args, config, args.seed)
     sampler = RayKnightSampler(args.w)
     y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
 
-    def block(b, count):
-        return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
+    def block(count, seed):
+        return sampler.batch_profile_window(args.x, args.m, count, seed, y_lo, y_hi)
 
     out = {}
-    for got in map_blocks(args.replicas, 65536, args.threads, block):
+    blocks = CampaignConfig(master_seed=args.seed, threads=args.threads)  # default block size
+    for got in _blocks(blocks, args.replicas, (1,), block):
         for y, vals in got.items():
             out.setdefault(y, []).append(vals)
     rows = []
@@ -138,20 +129,14 @@ def cmd_profile(args) -> int:
         })
     prof_path = outdir / "profile.csv"
     write_csv(prof_path, "profile", rows)
-    _finish(manifest, outdir, t0, [prof_path])
+    _finish(args, [prof_path])
     print(f"profile: x={args.x} m={args.m}, {args.replicas} replicas, outputs in {outdir}")
     return 0
 
 
 def cmd_lclt(args) -> int:
-    if args.law != "from-stationary":
-        print(f"unknown step law {args.law!r}", file=sys.stderr)
-        return USAGE_ERROR
-    outdir = _outdir(args)
-    t0 = time.perf_counter()
-    config = {"w": args.w.spec(), "N": args.N, "law": args.law, "box": args.box, "stride": args.stride}
-    manifest = RunManifest("lclt", config, args.seed, code_version())
-    _begin(args, manifest, outdir)
+    config = {"w": args.w.spec(), "N": args.N, "box": args.box, "stride": args.stride}
+    outdir = _start(args, config, args.seed)
     step_law = stationary_step_law(args.w)
     pmf = exact_bivariate_pmf(step_law, args.N)
     comparison = lclt_sup_error(pmf, u_max=args.box, v_max=args.box)
@@ -193,7 +178,7 @@ def cmd_lclt(args) -> int:
     }
     json_path = outdir / "lclt.json"
     dump_json(json_path, payload)
-    _finish(manifest, outdir, t0, [grid_path, json_path])
+    _finish(args, [grid_path, json_path])
     print(f"lclt: N={args.N} sup_scaled_error={comparison.sup_scaled_error:.4f}, outputs in {outdir}")
     if args.max_sup is not None and comparison.sup_scaled_error >= args.max_sup:
         return TOLERANCE_ERROR
@@ -201,7 +186,6 @@ def cmd_lclt(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    t0 = time.perf_counter()
     if args.manifest:
         try:
             cfg_dict = dict(RunManifest.load(args.manifest).config)
@@ -221,7 +205,6 @@ def cmd_campaign(args) -> int:
             except (OSError, ValueError, TypeError) as exc:
                 raise CampaignConfigError(f"cannot read --config {args.config!r}: {exc}") from exc
         cfg_dict["kind"] = args.kind.replace("-", "_")
-        cfg_dict.setdefault("weight", args.w.spec() if args.w else {"family": "exponential", "rate": 1.0})
         if args.w is not None:
             cfg_dict["weight"] = args.w.spec()
         if args.seed is not None:
@@ -243,12 +226,9 @@ def cmd_campaign(args) -> int:
     except (KeyError, TypeError) as exc:
         print(f"bad campaign config: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    outdir = _outdir(args)
-    manifest = RunManifest("campaign", cfg.to_dict(), cfg.master_seed, code_version())
-    _begin(args, manifest, outdir)
+    outdir = _start(args, cfg.to_dict(), cfg.master_seed)
     report = run_campaign(cfg)
-    outputs = report.write_outputs(outdir)
-    _finish(manifest, outdir, t0, outputs)
+    _finish(args, report.write_outputs(outdir))
     for c in report.checks:
         print(f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
     print(f"campaign {cfg.kind}: outputs in {outdir}")
@@ -288,7 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("lclt", help="exact bivariate local-CLT comparison")
     sp.add_argument("--w", type=_weight, default=WeightFunction("exponential", (1.0,)))
     sp.add_argument("--N", type=int, default=100)
-    sp.add_argument("--law", default="from-stationary")
     sp.add_argument("--box", type=float, default=3.0)
     sp.add_argument("--stride", type=int, default=0, help="CSV grid stride (0 = auto)")
     sp.add_argument("--max-sup", type=float, default=None, help="fail (exit 1) if sup error exceeds this")
@@ -320,9 +299,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SrrwError as exc:
         if getattr(args, "started", None):
-            manifest, outdir = args.started
-            manifest.error = str(exc)
-            manifest.write(outdir / "manifest.json")
+            _finish(args, error=exc)
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

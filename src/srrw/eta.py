@@ -70,12 +70,6 @@ class Lattice1DDistribution:
         i0, i1 = keep[0], keep[-1] + 1
         return Lattice1DDistribution(self.lo + int(i0), self.probs[i0:i1].copy(), self.offset)
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        cdf = np.cumsum(self.probs)
-        cdf /= cdf[-1]
-        idx = np.searchsorted(cdf, rng.random(size), side="right")
-        return self.lo + idx
-
 
 def _row_from_p(p, state: int, eps_tail: float, max_terms: int = 100_000) -> Lattice1DDistribution:
     """Kernel row from an arbitrary step-probability function p(d)."""

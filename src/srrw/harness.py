@@ -9,6 +9,7 @@ under any thread budget.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -58,6 +59,13 @@ def map_blocks(total: int, block_size: int, threads: int, fn):
         return [f.result() for f in futs]
 
 
+def _blocks(cfg, replicas: int, path: tuple, fn):
+    """fn(count, seed) for each block of replicas, in block order: block b
+    draws from substream(cfg.master_seed, *path, b)."""
+    return map_blocks(replicas, cfg.block_size, cfg.threads,
+                      lambda b, count: fn(count, substream(cfg.master_seed, *path, b)))
+
+
 def load_expectations(path: str | None = None) -> dict:
     """Pilot-calibrated tolerance bands; SRRW_EXPECTATIONS overrides the path."""
     path = path or os.environ.get("SRRW_EXPECTATIONS")
@@ -85,6 +93,19 @@ def upper95(hits: int, n: int) -> float:
     return float(beta.ppf(0.95, hits + 1, n - hits))
 
 
+def _rate(hits, n: int):
+    """Binomial frequency hits/n and its standard error."""
+    freq = hits / n
+    return freq, math.sqrt(max(freq * (1 - freq), 0.0) / n)
+
+
+def _monotone(name: str, values: list, strict: bool, detail: str) -> CheckResult:
+    """Whether values decrease along the ladder: strictly, or else never increase."""
+    pairs = list(zip(values, values[1:]))
+    ok = all(b < a for a, b in pairs) if strict else all(b <= a for a, b in pairs)
+    return CheckResult(name, ok, detail)
+
+
 def ks_vs_uniform(values: np.ndarray, counts: np.ndarray, scale: float) -> float:
     """Two-sided KS distance of the empirical law of values/scale vs U(-1,1)."""
     order = np.argsort(values)
@@ -108,6 +129,12 @@ class CampaignConfig:
     threads: int = 1
     block_size: int = DEFAULT_BLOCK
 
+    ladder = None  # the tuple field a campaign steps along; an empty one gives no evidence
+
+    def __post_init__(self):
+        if self.ladder and not getattr(self, self.ladder):
+            raise CampaignConfigError(f"{self.kind}: {self.ladder} is empty")
+
     def weight_fn(self) -> WeightFunction:
         return WeightFunction.from_spec(self.weight)
 
@@ -120,6 +147,7 @@ class CampaignConfig:
 @dataclass(frozen=True)
 class EndpointConfig(CampaignConfig):
     kind = "endpoint"
+    ladder = "n_ladder"
     n_ladder: tuple = (50, 100, 200)
     replicas: int = 100_000
     budget_steps: int | None = None
@@ -134,10 +162,20 @@ class LcltTableConfig(CampaignConfig):
     eps: float = 0.2
     budget_steps: int | None = None
 
+    def __post_init__(self):
+        if not self.grid():
+            raise CampaignConfigError(f"lclt_table: no site |x| <= n - n^alpha has the parity of n^2 at n={self.n}")
+
+    def grid(self) -> list:
+        """Sites |x| <= n - n^alpha with the parity of n^2."""
+        x_max = int(self.n - self.n**self.alpha)
+        return [x for x in range(-x_max, x_max + 1) if abs(x) % 2 == self.n * self.n % 2]
+
 
 @dataclass(frozen=True)
 class ProfileShapeConfig(CampaignConfig):
     kind = "profile_shape"
+    ladder = "k_ladder"
     k_ladder: tuple = (10_000, 40_000, 160_000)
     replicas: int = 200
 
@@ -145,6 +183,7 @@ class ProfileShapeConfig(CampaignConfig):
 @dataclass(frozen=True)
 class TailConfig(CampaignConfig):
     kind = "tails"
+    ladder = "m_ladder"
     m_ladder: tuple = (1_000, 10_000, 100_000)
     replicas_per_m: tuple = (20_000, 20_000, 4_000)
     growth: str = "log2"
@@ -152,6 +191,7 @@ class TailConfig(CampaignConfig):
     cross_replicas: int = 4_000
 
     def __post_init__(self):
+        super().__post_init__()
         g = GROWTH_FUNCTIONS[self.growth]
         for m in self.m_ladder:
             if tail_probe_site(m, g(m)) < 1:
@@ -176,11 +216,19 @@ class InverseTimeConfig(CampaignConfig):
     def __post_init__(self):
         if (self.x - self.n * self.n) % 2 != 0:
             raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
+        if not self.levels():
+            raise CampaignConfigError(f"inverse_time: no c target gives a level m >= 1 at n={self.n}, x={self.x}")
+
+    def levels(self) -> list:
+        """The admissible integer levels m >= 1 nearest the c targets, ascending."""
+        th = theta(float(self.n), float(self.x))
+        return [m for m in sorted({int(round(th + c * math.sqrt(self.n))) for c in self.c_targets}) if m >= 1]
 
 
 @dataclass(frozen=True)
 class WTermsConfig(CampaignConfig):
     kind = "wterms"
+    ladder = "n_ladder"
     n_ladder: tuple = (50, 100, 200)
     M: float = 1.0
     replicas: int = 20_000
@@ -197,17 +245,33 @@ CONFIG_KINDS = {
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
-    d = dict(d)
-    kind = d.pop("kind")
-    cls = CONFIG_KINDS[kind]
-    for key in ("n_ladder", "k_ladder", "m_ladder", "replicas_per_m", "c_targets"):
-        if key in d and isinstance(d[key], list):
-            d[key] = tuple(d[key])
-    return cls(**d)
+    d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
+    return CONFIG_KINDS[d.pop("kind")](**d)
+
+
+_RUNNERS: dict = {}
 
 
 def run_campaign(cfg: CampaignConfig) -> StatsReport:
     return _RUNNERS[cfg.kind](cfg)
+
+
+def _campaign(kind: str):
+    """Register a runner returning (tables, checks, replicas_total) as the
+    campaign of that kind; the registered function returns the timed StatsReport."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(cfg: CampaignConfig) -> StatsReport:
+            watch = Stopwatch()
+            tables, checks, total = fn(cfg)
+            return StatsReport(kind=kind, config=cfg.to_dict(), tables=tables, checks=checks,
+                               replicas_total=total, wall_clock_s=watch.elapsed())
+
+        _RUNNERS[kind] = run
+        return run
+
+    return register
 
 
 # -- endpoint law (diffusive limit) ---------------------------------------------
@@ -225,21 +289,21 @@ def position_histogram(cfg, w: WeightFunction, steps: int, kind: int, point: int
     if partial:
         replicas = max(cfg.budget_steps // steps, 1)
 
-    def block(b, count):
-        pos, _, _ = vw.final_positions(w, steps, count, substream(cfg.master_seed, kind, point, b))
+    def block(count, seed):
+        pos, _, _ = vw.final_positions(w, steps, count, seed)
         return np.unique(pos, return_counts=True)
 
     counter: dict = {}
-    for vals, cnts in map_blocks(replicas, cfg.block_size, cfg.threads, block):
+    for vals, cnts in _blocks(cfg, replicas, (kind, point), block):
         for v, c in zip(vals.tolist(), cnts.tolist()):
             counter[v] = counter.get(v, 0) + c
     return counter, replicas, partial
 
 
-def endpoint_law(cfg: EndpointConfig, expectations: dict | None = None) -> StatsReport:
+@_campaign("endpoint")
+def endpoint_law(cfg: EndpointConfig):
     """Empirical law of X(n^2)/n against U(-1,1) along the n ladder."""
-    watch = Stopwatch()
-    exp = expectations or load_expectations()
+    exp = load_expectations()
     w = cfg.weight_fn()
     rows, hist_rows, checks = [], [], []
     ks_values = []
@@ -263,38 +327,29 @@ def endpoint_law(cfg: EndpointConfig, expectations: dict | None = None) -> Stats
         if band is not None:
             checks.append(CheckResult(f"endpoint_ks_n{n}", ks < band, f"ks {ks:.4f} < {band}"))
     if len(ks_values) > 1:
-        mono = all(b < a for a, b in zip(ks_values, ks_values[1:]))
-        checks.append(CheckResult("endpoint_ks_monotone", mono, f"ks ladder {ks_values}"))
-    report = StatsReport(kind="endpoint", config=cfg.to_dict(),
-                         tables={"endpoint": rows, "endpoint_hist": hist_rows},
-                         checks=checks, replicas_total=total)
-    report.wall_clock_s = watch.elapsed()
-    return report
+        checks.append(_monotone("endpoint_ks_monotone", ks_values, True, f"ks ladder {ks_values}"))
+    return {"endpoint": rows, "endpoint_hist": hist_rows}, checks, total
 
 
 # -- pointwise lower bound table -------------------------------------------------
 
 
-def local_clt_table(cfg: LcltTableConfig) -> StatsReport:
+@_campaign("lclt_table")
+def local_clt_table(cfg: LcltTableConfig):
     """n * P(X(n^2) = x) over the admissible parity grid, with flags."""
-    watch = Stopwatch()
     w = cfg.weight_fn()
     n = cfg.n
-    steps = n * n
-    counter, replicas, partial = position_histogram(cfg, w, steps, KIND_LCLT_TABLE, 0)
+    counter, replicas, partial = position_histogram(cfg, w, n * n, KIND_LCLT_TABLE, 0)
 
-    x_max = int(n - n**cfg.alpha)
-    parity = steps % 2
-    grid = [x for x in range(-x_max, x_max + 1) if abs(x) % 2 == parity]
+    grid = cfg.grid()
     observed_max = max(abs(v) for v in counter) if counter else 0
     rows = []
     low_cells = []
     undersampled = 0
     for x in grid:
         hits = counter.get(x, 0)
-        phat = hits / replicas
+        phat, se = _rate(hits, replicas)
         n_phat = n * phat
-        se = n * math.sqrt(max(phat * (1 - phat), 0.0) / replicas)
         if abs(x) > observed_max:
             flag = "beyond_range"
         elif hits < 50:
@@ -305,7 +360,7 @@ def local_clt_table(cfg: LcltTableConfig) -> StatsReport:
             low_cells.append(x)
         else:
             flag = "ok"
-        rows.append({"n": n, "x": x, "hits": hits, "n_phat": n_phat, "se": se, "flag": flag})
+        rows.append({"n": n, "x": x, "hits": hits, "n_phat": n_phat, "se": n * se, "flag": flag})
     mass = sum(counter.get(x, 0) for x in grid) / replicas
     checks = [
         CheckResult("lclt_table_mass", mass <= 1.0 + 1e-12, f"grid mass {mass:.4f}"),
@@ -314,58 +369,48 @@ def local_clt_table(cfg: LcltTableConfig) -> StatsReport:
     ]
     if partial:
         checks.append(CheckResult("lclt_table_partial", False, "budget truncated the replica count"))
-    report = StatsReport(kind="lclt_table", config=cfg.to_dict(), tables={"lclt_table": rows},
-                         checks=checks, replicas_total=replicas)
-    report.wall_clock_s = watch.elapsed()
-    return report
+    return {"lclt_table": rows}, checks, replicas
 
 
 # -- profile shape (triangular local-time law) -----------------------------------
 
 
-def profile_shape(cfg: ProfileShapeConfig) -> StatsReport:
+@_campaign("profile_shape")
+def profile_shape(cfg: ProfileShapeConfig):
     """Per-replica sup deviation of l+(k, .)/sqrt(k) from the triangular
     profile, per ladder point; medians must decrease along the ladder."""
-    watch = Stopwatch()
     w = cfg.weight_fn()
     rows, checks = [], []
     medians = []
     for ip, k in enumerate(cfg.k_ladder):
         sq = math.sqrt(k)
 
-        def block(b, count, _k=k, _ip=ip):
-            pos, lp, site_lo = vw.final_positions(
-                w, _k, count, substream(cfg.master_seed, KIND_PROFILE_SHAPE, _ip, b), want_lplus=True
-            )
+        def block(count, seed):
+            pos, lp, site_lo = vw.final_positions(w, k, count, seed, want_lplus=True)
             sites = site_lo + np.arange(lp.shape[1])
             target = 0.5 * np.clip(1.0 - np.abs(sites) / sq, 0.0, None)
             dev = np.abs(lp / sq - target[None, :]).max(axis=1)
             return dev
 
-        devs = np.concatenate(map_blocks(cfg.replicas, cfg.block_size, cfg.threads, block))
+        devs = np.concatenate(_blocks(cfg, cfg.replicas, (KIND_PROFILE_SHAPE, ip), block))
         med = float(np.median(devs))
         p95 = float(np.quantile(devs, 0.95))
         rows.append({"k": k, "replicas": cfg.replicas, "median_dev": med, "p95_dev": p95})
         medians.append(med)
         checks.append(CheckResult(f"profile_dev_nonneg_k{k}", bool((devs >= 0).all()), ""))
     if len(medians) > 1:
-        mono = all(b < a for a, b in zip(medians, medians[1:]))
-        checks.append(CheckResult("profile_median_monotone", mono, f"medians {medians}"))
-    report = StatsReport(kind="profile_shape", config=cfg.to_dict(),
-                         tables={"profile_shape": rows}, checks=checks,
-                         replicas_total=cfg.replicas * len(cfg.k_ladder))
-    report.wall_clock_s = watch.elapsed()
-    return report
+        checks.append(_monotone("profile_median_monotone", medians, True, f"medians {medians}"))
+    return {"profile_shape": rows}, checks, cfg.replicas * len(cfg.k_ladder)
 
 
 # -- range / profile tail events --------------------------------------------------
 
 
-def tail_bounds_suite(cfg: TailConfig, expectations: dict | None = None) -> StatsReport:
+@_campaign("tails")
+def tail_bounds_suite(cfg: TailConfig):
     """Frequencies of the rho/lam and profile tail events on the m ladder,
     via the profile sampler, plus a walk-vs-sampler cross statistic."""
-    watch = Stopwatch()
-    exp = expectations or load_expectations()
+    exp = load_expectations()
     w = cfg.weight_fn()
     g = GROWTH_FUNCTIONS[cfg.growth]
     sampler = RayKnightSampler(w)
@@ -374,67 +419,53 @@ def tail_bounds_suite(cfg: TailConfig, expectations: dict | None = None) -> Stat
     total = 0
     for ip, (m, reps) in enumerate(zip(cfg.m_ladder, cfg.replicas_per_m)):
         g_m = g(m)
-        agg = {"rho": 0, "lam": 0, "l_gt": 0, "l_lt": 0}
-
-        def block(b, count, _m=m, _ip=ip, _g=g_m):
-            return sampler.batch_tail_events(_m, count, substream(cfg.master_seed, KIND_TAILS, _ip, b), _g)
-
         thresholds = {
             "rho": math.ceil(2 * m + math.sqrt(m) * g_m),
             "lam": -math.ceil(2 * m + math.sqrt(m) * g_m),
             "l_gt": 3.0 * math.sqrt(m * g_m),
             "l_lt": math.sqrt(m * g_m),
         }
-        for out in map_blocks(reps, cfg.block_size, cfg.threads, block):
+        agg = dict.fromkeys(freqs, 0)
+        for out in _blocks(cfg, reps, (KIND_TAILS, ip),
+                           lambda count, seed: sampler.batch_tail_events(m, count, seed, g_m)):
             for ev in agg:
                 agg[ev] += out[ev]
         total += reps
-        for ev in ("rho", "lam", "l_gt", "l_lt"):
-            freq = agg[ev] / reps
+        for ev, hits in agg.items():
+            freq, se = _rate(hits, reps)
             freqs[ev].append(freq)
-            rows.append({"m": m, "event": ev, "threshold": thresholds[ev], "hits": agg[ev],
-                         "replicas": reps, "freq": freq,
-                         "se": math.sqrt(max(freq * (1 - freq), 0.0) / reps),
-                         "upper95": upper95(agg[ev], reps)})
+            rows.append({"m": m, "event": ev, "threshold": thresholds[ev], "hits": hits,
+                         "replicas": reps, "freq": freq, "se": se, "upper95": upper95(hits, reps)})
     top_max = exp.get("tail_top_freq_max", 0.01)
     for ev, fl in freqs.items():
-        mono = all(b <= a for a, b in zip(fl, fl[1:]))
-        checks.append(CheckResult(f"tail_{ev}_monotone", mono, f"freqs {fl}"))
+        checks.append(_monotone(f"tail_{ev}_monotone", fl, False, f"freqs {fl}"))
         checks.append(CheckResult(f"tail_{ev}_top", fl[-1] < top_max, f"top freq {fl[-1]} < {top_max}"))
 
     # cross-validation: mean T+_{0,m} from the walk vs the sampler
-    cross_rows = []
+    tables = {"tails": rows}
     if cfg.cross_m and cfg.cross_replicas:
         m = cfg.cross_m
         times, _, unfin = vw.edge_hit_times(
             w, 0, [m], cfg.cross_replicas, substream(cfg.master_seed, KIND_TAILS, 900), t_cap=400 * m * m
         )
         t_walk = times[times[:, 0] > 0, 0].astype(np.float64)
-        t_rk = np.concatenate(map_blocks(
-            cfg.cross_replicas, cfg.block_size, cfg.threads,
-            lambda b, count: sampler.batch_total_time(0, m, count, substream(cfg.master_seed, KIND_TAILS, 901, b)),
-        )).astype(np.float64)
+        t_rk = np.concatenate(_blocks(cfg, cfg.cross_replicas, (KIND_TAILS, 901),
+                                      functools.partial(sampler.batch_total_time, 0, m))).astype(np.float64)
         mw, sw = float(t_walk.mean()), float(t_walk.std(ddof=1) / math.sqrt(len(t_walk)))
         mr, sr = float(t_rk.mean()), float(t_rk.std(ddof=1) / math.sqrt(len(t_rk)))
-        cross_rows.append({"m": m, "statistic": "mean_T", "walk_value": mw, "walk_se": sw,
-                           "rk_value": mr, "rk_se": sr})
+        tables["tail_cross"] = [{"m": m, "statistic": "mean_T", "walk_value": mw, "walk_se": sw,
+                                 "rk_value": mr, "rk_se": sr}]
         joint = math.hypot(sw, sr)
         checks.append(CheckResult("tail_cross_validation", abs(mw - mr) <= 3 * joint and len(unfin) == 0,
                                   f"walk {mw:.2f}+-{sw:.2f} vs rk {mr:.2f}+-{sr:.2f}"))
-    tables = {"tails": rows}
-    if cross_rows:
-        tables["tail_cross"] = cross_rows
-    report = StatsReport(kind="tails", config=cfg.to_dict(), tables=tables, checks=checks,
-                         replicas_total=total)
-    report.wall_clock_s = watch.elapsed()
-    return report
+    return tables, checks, total
 
 
 # -- inverse-local-time hitting asymptotics ---------------------------------------
 
 
-def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None,
-                             expectations: dict | None = None) -> StatsReport:
+@_campaign("inverse_time")
+def inverse_time_asymptotics(cfg: InverseTimeConfig):
     """Scaled estimate of P(T = n^2) for the inverse local times that land on
     x, across admissible c, against the Gaussian benchmark exp(-4c^2/beta_n).
 
@@ -442,26 +473,23 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None
     x-1 places the walk at x, matching the parity of n^2 for even x.
     Includes the pure-numerics Riemann-sum identity check.
     """
-    watch = Stopwatch()
-    exp = expectations or load_expectations()
+    exp = load_expectations()
     w = cfg.weight_fn()
     n, x = cfg.n, cfg.x
     sampler = RayKnightSampler(w)
-    s2 = sampler.sigma2 if sigma2 is None else sigma2
+    s2 = sampler.sigma2
     bn = beta_n_formula(n, x, s2)
     th = theta(float(n), float(x))
-
-    # admissible integer levels nearest the requested c targets
-    ms = sorted({int(round(th + c * math.sqrt(n))) for c in cfg.c_targets})
-    ms = [m for m in ms if m >= 1]
-    rows, cross_rows, checks = [], [], []
+    ms = cfg.levels()
+    rows, checks = [], []
 
     # Riemann-sum identity (no simulation)
     rn = cfg.riemann_n
     bn_r = beta_n_formula(rn, 0, s2)
     js = np.arange(-int(cfg.riemann_K * math.sqrt(rn)), int(cfg.riemann_K * math.sqrt(rn)) + 1)
     riemann = float(np.sqrt(4.0 / (bn_r * math.pi * rn)) * np.exp(-4.0 * js**2 / (bn_r * rn)).sum())
-    riemann_rows = [{"n": rn, "x": 0, "K": cfg.riemann_K, "value": riemann, "abs_error": abs(riemann - 1.0)}]
+    tables = {"inverse_time": rows,
+              "riemann": [{"n": rn, "x": 0, "K": cfg.riemann_K, "value": riemann, "abs_error": abs(riemann - 1.0)}]}
     checks.append(CheckResult("riemann_identity", abs(riemann - 1.0) < 0.01, f"sum {riemann:.6f}"))
 
     target_T = n * n
@@ -469,35 +497,28 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None
     for im, m in enumerate(ms):
         c = (m - th) / math.sqrt(n)
 
-        def block(b, count, _m=m, _im=im):
-            T = sampler.batch_total_time(x - 1, _m, count, substream(cfg.master_seed, KIND_INVERSE_TIME, _im, b))
+        def block(count, seed):
+            T = sampler.batch_total_time(x - 1, m, count, seed)
             return int((T == target_T).sum())
 
-        hits = sum(map_blocks(cfg.replicas, cfg.block_size, cfg.threads, block))
-        freq = hits / cfg.replicas
-        se = math.sqrt(max(freq * (1 - freq), 0.0) / cfg.replicas)
+        hits = sum(_blocks(cfg, cfg.replicas, (KIND_INVERSE_TIME, im), block))
+        freq, se = _rate(hits, cfg.replicas)
         rows.append({"n": n, "x": x, "m": m, "c": c, "hits": hits, "replicas": cfg.replicas,
                      "scaled": scale * freq, "se_scaled": scale * se,
                      "predicted": math.exp(-4.0 * c * c / bn)})
 
     # direct-walk cross-check on the same events
     if cfg.cross_replicas:
-        agg = np.zeros(len(ms), dtype=np.int64)
-        blocks_n = 0
 
-        def wblock(b, count):
-            times, _, _ = vw.edge_hit_times(
-                w, x - 1, ms, count, substream(cfg.master_seed, KIND_INVERSE_TIME, 800, b), t_cap=target_T
-            )
+        def wblock(count, seed):
+            times, _, _ = vw.edge_hit_times(w, x - 1, ms, count, seed, t_cap=target_T)
             return (times == target_T).sum(axis=0)
 
-        for out in map_blocks(cfg.cross_replicas, cfg.block_size, cfg.threads, wblock):
-            agg += out
-            blocks_n += 1
+        walk_hits = sum(_blocks(cfg, cfg.cross_replicas, (KIND_INVERSE_TIME, 800), wblock))
+        tables["inverse_time_cross"] = cross_rows = []
         for im, m in enumerate(ms):
             c = (m - th) / math.sqrt(n)
-            fw = agg[im] / cfg.cross_replicas
-            sew = math.sqrt(max(fw * (1 - fw), 0.0) / cfg.cross_replicas)
+            fw, sew = _rate(walk_hits[im], cfg.cross_replicas)
             fr = rows[im]["hits"] / cfg.replicas
             ser = rows[im]["se_scaled"] / scale
             cross_rows.append({"n": n, "x": x, "m": m, "c": c, "walk_freq": fw, "walk_se": sew,
@@ -517,25 +538,18 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig, sigma2: float | None = None
         v0 = by_absc[0.0][0]
         checks.append(CheckResult("inverse_time_c0_band", band[0] <= v0 <= band[1],
                                   f"scaled {v0:.3f} in {band}"))
-    mono = all(b < a for a, b in zip(means, means[1:]))
-    checks.append(CheckResult("inverse_time_monotone_absc", mono,
-                              f"|c| {absc} -> {['%.3f' % v for v in means]}"))
-    tables = {"inverse_time": rows, "riemann": riemann_rows}
-    if cross_rows:
-        tables["inverse_time_cross"] = cross_rows
-    report = StatsReport(kind="inverse_time", config=cfg.to_dict(), tables=tables, checks=checks,
-                         replicas_total=cfg.replicas * len(ms) + cfg.cross_replicas)
-    report.wall_clock_s = watch.elapsed()
-    return report
+    checks.append(_monotone("inverse_time_monotone_absc", means, True,
+                            f"|c| {absc} -> {['%.3f' % v for v in means]}"))
+    return tables, checks, cfg.replicas * len(ms) + cfg.cross_replicas
 
 
 # -- boundary local-time sums ------------------------------------------------------
 
 
-def w_boundary_terms(cfg: WTermsConfig) -> StatsReport:
+@_campaign("wterms")
+def w_boundary_terms(cfg: WTermsConfig):
     """Frequencies of {W_k > M n log^3 n} for the profile mass beyond the
     +-(n - sqrt(n) log n) boundary at T+_{0, theta_n(0)}, on an n ladder."""
-    watch = Stopwatch()
     w = cfg.weight_fn()
     sampler = RayKnightSampler(w)
     rows, checks = [], []
@@ -544,43 +558,23 @@ def w_boundary_terms(cfg: WTermsConfig) -> StatsReport:
         m = int(round(theta(float(n), 0.0)))
         boundary = n - math.sqrt(n) * math.log(n)
         threshold = cfg.M * n * math.log(n) ** 3
-        h1 = h2 = 0
 
-        def block(b, count, _m=m, _ip=ip, _bd=boundary, _th=threshold):
-            w1, w2 = sampler.batch_boundary_sums(0, _m, count, substream(cfg.master_seed, KIND_WTERMS, _ip, b), _bd)
-            return int((w1 > _th).sum()), int((w2 > _th).sum()), int((w1 < 0).sum() + (w2 < 0).sum())
+        def block(count, seed):
+            w1, w2 = sampler.batch_boundary_sums(0, m, count, seed, boundary)
+            return int((w1 > threshold).sum()), int((w2 > threshold).sum()), int((w1 < 0).sum() + (w2 < 0).sum())
 
-        negs = 0
-        for a, b_, neg in map_blocks(cfg.replicas, cfg.block_size, cfg.threads, block):
-            h1 += a
-            h2 += b_
-            negs += neg
+        h1, h2, negs = (sum(col) for col in zip(*_blocks(cfg, cfg.replicas, (KIND_WTERMS, ip), block)))
         for k, hits in ((1, h1), (2, h2)):
-            freq = hits / cfg.replicas
+            freq, se = _rate(hits, cfg.replicas)
             freq_by_k[k].append(freq)
             rows.append({"n": n, "k": k, "m": m, "threshold": threshold, "hits": hits,
-                         "replicas": cfg.replicas, "freq": freq,
-                         "se": math.sqrt(max(freq * (1 - freq), 0.0) / cfg.replicas),
+                         "replicas": cfg.replicas, "freq": freq, "se": se,
                          "upper95": upper95(hits, cfg.replicas)})
         checks.append(CheckResult(f"wterms_nonneg_n{n}", negs == 0, ""))
-        se = math.sqrt(max(h1 / cfg.replicas * (1 - h1 / cfg.replicas), 0.0) / cfg.replicas)
+        se = _rate(h1, cfg.replicas)[1]
         joint = 3 * math.hypot(se, se) + 1e-12
         checks.append(CheckResult(f"wterms_symmetry_n{n}", abs(h1 - h2) / cfg.replicas <= joint,
                                   f"freq1 {h1 / cfg.replicas:.2e} freq2 {h2 / cfg.replicas:.2e}"))
     for k in (1, 2):
-        mono = all(b <= a for a, b in zip(freq_by_k[k], freq_by_k[k][1:]))
-        checks.append(CheckResult(f"wterms_monotone_k{k}", mono, f"freqs {freq_by_k[k]}"))
-    report = StatsReport(kind="wterms", config=cfg.to_dict(), tables={"wterms": rows},
-                         checks=checks, replicas_total=cfg.replicas * len(cfg.n_ladder))
-    report.wall_clock_s = watch.elapsed()
-    return report
-
-
-_RUNNERS = {
-    "endpoint": endpoint_law,
-    "lclt_table": local_clt_table,
-    "profile_shape": profile_shape,
-    "tails": tail_bounds_suite,
-    "inverse_time": inverse_time_asymptotics,
-    "wterms": w_boundary_terms,
-}
+        checks.append(_monotone(f"wterms_monotone_k{k}", freq_by_k[k], False, f"freqs {freq_by_k[k]}"))
+    return {"wterms": rows}, checks, cfg.replicas * len(cfg.n_ladder)

@@ -26,6 +26,7 @@ variant is kept behind a flag purely as a regression guard.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -145,6 +146,24 @@ class ZeroMassError(ValueError):
     """Conditioning on a zero-probability marginal value."""
 
 
+def _dp_grid(h: np.ndarray, sigma: float, N: int, sd_cap: float):
+    """Geometry of the DP for N steps of atoms h: (c, w2, clip_a_final,
+    clip_b_final, HA, HB, slack, cells), where each of its two flat buffers
+    holds cells = HA * HB + 2 * slack, as allocated."""
+    c = (N + 1) // 2
+    w2 = np.sqrt(np.cumsum(np.array([(j - c) ** 2 for j in range(1, N + 1)], dtype=np.float64)))
+    clip_a_final = int(math.ceil(sd_cap * sigma * math.sqrt(N))) + _CLIP_SLACK
+    clip_b_final = int(math.ceil(sd_cap * sigma * w2[-1])) + _CLIP_SLACK
+    h_lo, h_hi = int(h[0]), int(h[-1])
+    w_abs = max(c - 1, N - c)
+    HA = 2 * (clip_a_final + h_hi - h_lo + 4) + 1
+    # right-hand pad: no column shift w_j*h + (par_b + w_j - par_b')//2 carries a cell
+    # past the end of its row into the box of the next row
+    HB = 2 * (clip_b_final + 8) + 1 + w_abs * int(np.abs(2 * h + 1).max()) // 2 + 2
+    slack = (max(-h_lo, h_hi) + 2) * (HB + w_abs)  # flat zeros before and after the grid
+    return c, w2, clip_a_final, clip_b_final, HA, HB, slack, HA * HB + 2 * slack
+
+
 def exact_bivariate_pmf(
     step_law: Lattice1DDistribution,
     N: int,
@@ -165,26 +184,15 @@ def exact_bivariate_pmf(
     keep = p > 0
     h, p = h[keep], p[keep]
     sigma = math.sqrt(step_law.variance())
-    c = (N + 1) // 2
-    w2 = np.sqrt(np.cumsum(np.array([(j - c) ** 2 for j in range(1, N + 1)], dtype=np.float64)))
-
-    clip_a_final = int(math.ceil(sd_cap * sigma * math.sqrt(N))) + _CLIP_SLACK
-    clip_b_final = int(math.ceil(sd_cap * sigma * w2[-1])) + _CLIP_SLACK
+    c, w2, clip_a_final, clip_b_final, HA, HB, slack, cells = _dp_grid(h, sigma, N, sd_cap)
+    if cells > cell_budget:
+        # the largest N whose grid fits: cells grow with N
+        n_fit = bisect.bisect_left(range(1, N), True, key=lambda n: _dp_grid(h, sigma, n, sd_cap)[-1] > cell_budget)
+        raise SupportBudgetError(
+            f"DP grid {HA}x{HB} and its slack ({cells} cells) exceed the cell budget", suggested_n=n_fit or None
+        )
     h_lo, h_hi = int(h[0]), int(h[-1])
     h_span = h_hi - h_lo
-    w_abs = max(c - 1, N - c)
-    HA = 2 * (clip_a_final + h_span + 4) + 1
-    # right-hand pad: no column shift w_j*h + (par_b + w_j - par_b')//2 carries a cell
-    # past the end of its row into the box of the next row
-    HB = 2 * (clip_b_final + 8) + 1 + w_abs * int(np.abs(2 * h + 1).max()) // 2 + 2
-    slack = (max(-h_lo, h_hi) + 2) * (HB + w_abs)  # flat zeros before and after the grid
-    cells = HA * HB + 2 * slack  # per buffer, as allocated
-    if cells > cell_budget:
-        # grid area scales like N^2
-        n_sug = int(N * math.sqrt(cell_budget / cells))
-        raise SupportBudgetError(
-            f"DP grid {HA}x{HB} and its slack ({cells} cells) exceed the cell budget", suggested_n=n_sug
-        )
     center_a, center_b = HA // 2, clip_b_final + 8
     src, dst = np.zeros(cells), np.zeros(cells)
     cur, nxt = (buf[slack:slack + HA * HB].reshape(HA, HB) for buf in (src, dst))
@@ -301,6 +309,26 @@ class GaussianComparison:
             raise ValueError("sup error cannot be negative")
 
 
+_TIE_RTOL = 1e-12
+
+
+def _near_row_max(a, b_vals: np.ndarray, err: np.ndarray) -> list:
+    """(err, a, b) for the points of one row within _TIE_RTOL of its largest error, if that is > 0."""
+    top = err.max()
+    near = np.flatnonzero(err >= top * (1 - _TIE_RTOL)) if top > 0 else []
+    return [(float(err[i]), float(a), float(b_vals[i])) for i in near]
+
+
+def _sup_and_argmax(near: list):
+    """The sup error and the lexicographically largest (a, b) within _TIE_RTOL of it.
+
+    On a symmetric step law the errors at (a, b) and (-a, -b) agree up to
+    rounding, so a strict argmax would follow the last bits of the DP.
+    """
+    sup = max((e for e, _, _ in near), default=0.0)
+    return sup, max(((a, b) for e, a, b in near if e >= sup * (1 - _TIE_RTOL)), default=(0.0, 0.0))
+
+
 def lclt_sup_error(
     pmf: BivariatePMF,
     u_max: float = 3.0,
@@ -321,8 +349,7 @@ def lclt_sup_error(
     a_all = pmf.a_values()
     bt_all = pmf.bt_values()
     alo, ahi, blo, bhi = pmf.box
-    sup = 0.0
-    arg = (0.0, 0.0)
+    near = []
     count = 0
     # b lattice enumerated per admissible a-row (S = S~ + c a shifts per row)
     b_lat_lo = -v_max * n32
@@ -344,10 +371,8 @@ def lclt_sup_error(
         q = (u * u + 3.0 * v * v + sgn * 3.0 * u * v) * 2.0 / s2
         err = np.abs(scale * exact - np.exp(-q))
         count += len(err)
-        i = int(np.argmax(err))
-        if err[i] > sup:
-            sup = float(err[i])
-            arg = (float(a), float(b_vals[i]))
+        near += _near_row_max(a, b_vals, err)
+    sup, arg = _sup_and_argmax(near)
     return GaussianComparison(
         N=N,
         sigma2=s2,
@@ -387,8 +412,7 @@ def conditional_sup_error(pmf: BivariatePMF, a_max: float | None = None, b_max: 
         b_max = 2.0 * N**1.5
     s = math.sqrt(pmf.sigma2)
     scale = math.sqrt(2.0 * math.pi) * s * N**1.5 / math.sqrt(12.0)
-    sup = 0.0
-    arg = (0.0, 0.0)
+    near = []
     for a in pmf.a_values():
         if abs(a) > a_max:
             continue
@@ -401,12 +425,8 @@ def conditional_sup_error(pmf: BivariatePMF, a_max: float | None = None, b_max: 
         ex = probs[ok]
         z = a / (2.0 * math.sqrt(N)) - bv / N**1.5
         pred = np.exp(-(6.0 / pmf.sigma2) * z * z)
-        err = np.abs(scale * ex - pred)
-        i = int(np.argmax(err))
-        if err[i] > sup:
-            sup = float(err[i])
-            arg = (float(a), float(bv[i]))
-    return sup, arg
+        near += _near_row_max(a, bv, np.abs(scale * ex - pred))
+    return _sup_and_argmax(near)
 
 
 # -- discrete Gaussian convolution bound --------------------------------------

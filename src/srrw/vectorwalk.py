@@ -148,7 +148,7 @@ def final_positions(w: WeightFunction, steps: int, replicas: int, seed, want_lpl
 
 
 def edge_hit_times(w: WeightFunction, edge_site: int, levels, replicas: int, seed, t_cap: int,
-                   capture_window=None, width0: int | None = None):
+                   capture_window=None):
     """First times the directed edge edge_site -> edge_site+1 is crossed
     `levels[i]` times, walked in lockstep up to t_cap steps.
 
@@ -200,7 +200,7 @@ def edge_hit_times(w: WeightFunction, edge_site: int, levels, replicas: int, see
 
     # profiles concentrate within ~2*levels[-1] sites of the edge; start
     # narrow and let the overflow retry widen on demand
-    guess = width0 or 2 * (8 * levels[-1] + abs(edge_site) + 64)
+    guess = 2 * (8 * levels[-1] + abs(edge_site) + 64)
     return _retrying(run, min(guess, default_width(t_cap)), 96, max_doublings=14)
 
 

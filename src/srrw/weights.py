@@ -129,7 +129,3 @@ class WeightFunction:
         except (IndexError, ValueError) as exc:
             raise InvalidWeightError(f"cannot parse weight spec {text!r}: {exc}") from exc
         raise InvalidWeightError(f"unknown weight spec {text!r}")
-
-
-EXP_UNIT = WeightFunction("exponential", (1.0,))
-RAMP_UNIT = WeightFunction("linear_ramp", (1.0, 1.0))

@@ -101,9 +101,12 @@ def test_lclt_command(tmp_path):
 
 
 def test_lclt_bad_law_writes_nothing(tmp_path):
+    # the step law always comes from the stationary law: there is no --law option
     out = tmp_path / "bogus"
-    assert run_cli(["lclt", "--N", "5", "--law", "bogus", "--out", str(out)]) == 2
-    assert not (out / "manifest.json").exists()
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["lclt", "--N", "5", "--law", "bogus", "--out", str(out)])
+    assert ei.value.code == 2
+    assert not out.exists()
 
 
 def test_lclt_tolerance_exit(tmp_path):
@@ -168,6 +171,14 @@ def test_console_entry_point():
     ("endpoint", "n_ladder=[8", "is not KEY=JSON"),
     ("tails", "m_ladder=[50]", "m=50 is too small for the log2 growth"),
     ("tails", "replicas_per_m=[20,20]", "replicas_per_m has 2 entries for 3 m_ladder points"),
+    # configs whose checks would pass without evidence
+    ("endpoint", "n_ladder=[]", "endpoint: n_ladder is empty"),
+    ("profile-shape", "k_ladder=[]", "profile_shape: k_ladder is empty"),
+    ("wterms", "n_ladder=[]", "wterms: n_ladder is empty"),
+    ("tails", "m_ladder=[]", "tails: m_ladder is empty"),
+    ("inverse-time", "c_targets=[-10]", "no c target gives a level m >= 1"),
+    ("inverse-time", "c_targets=[]", "no c target gives a level m >= 1"),
+    ("lclt-table", "n=1", "no site |x| <= n - n^alpha has the parity of n^2"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"

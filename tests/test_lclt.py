@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -112,7 +113,12 @@ def test_moments_match_analytic(pmf100, step_law):
 def test_support_budget_error(step_law):
     with pytest.raises(SupportBudgetError) as ei:
         exact_bivariate_pmf(step_law, 4000, cell_budget=1_000_000)
-    assert ei.value.suggested_n is not None and ei.value.suggested_n < 4000
+    n_fit = ei.value.suggested_n
+    assert n_fit is not None and n_fit < 4000
+    # the suggestion is the largest N that fits the same budget
+    exact_bivariate_pmf(step_law, n_fit, cell_budget=1_000_000)
+    with pytest.raises(SupportBudgetError):
+        exact_bivariate_pmf(step_law, n_fit + 1, cell_budget=1_000_000)
 
 
 def test_support_budget_counts_the_padded_grid(step_law, pmf100):
@@ -268,6 +274,20 @@ def test_sup_error_decreases_and_wrong_sign_fails(step_law, pmf100):
     p100 = lclt_sup_error(pmf100, plus_cross_sign=True).sup_scaled_error
     assert p100 > 0.3 and p25 > 0.3
     assert not (p100 < 0.5 * p25)
+
+
+def test_argmax_ties_pick_the_largest_point(pmf100):
+    # averaged with its reflection (a, b) -> (-a, -b), the law is exactly
+    # point-symmetric, so every error has a mirror twin up to rounding
+    alo, ahi, blo, bhi = pmf100.box
+    assert ahi - 1 == 2 * pmf100.center_a - pmf100.par_a - alo
+    assert bhi - 1 == 2 * pmf100.center_b - pmf100.par_b - blo
+    sym = dataclasses.replace(pmf100, arr=pmf100.arr.copy())
+    box = sym.arr[alo:ahi, blo:bhi]
+    box[...] = (box + box[::-1, ::-1]) / 2
+    _, cond_arg = conditional_sup_error(sym)
+    for a, b in (lclt_sup_error(sym).argmax, cond_arg):
+        assert (a, b) > (-a, -b)
 
 
 def test_conditional_normalizes(pmf100):

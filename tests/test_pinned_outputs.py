@@ -1,0 +1,115 @@
+"""Pinned-seed outputs: every campaign kind, simulate and profile.
+
+The Philox stream layout (kind, point, block) and the block-order reduction
+fix every byte of the result files, so each case below is pinned by the
+sha256 of every output file except manifest.json.  Every case runs on two
+threads with a block size small enough that several blocks run per point.
+
+inverse-time's scaled/predicted columns read sigma2, whose last bits depend on
+the BLAS build, so that kind pins its integer sampler hits and walk hits.
+
+Run this file as a script to print the digests of the current code:
+
+    PYTHONPATH=src python tests/test_pinned_outputs.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from srrw.cli import main
+
+TWO_THREADS = ["--threads", "2"]
+
+CASES = {
+    "endpoint": ["campaign", "--kind", "endpoint", "--seed", "101", "--replicas", "3000",
+                 "--param", "n_ladder=[6,10]", "--param", "block_size=700", *TWO_THREADS],
+    "lclt-table": ["campaign", "--kind", "lclt-table", "--seed", "102", "--replicas", "6000",
+                   "--param", "n=12", "--param", "block_size=1500", *TWO_THREADS],
+    "profile-shape": ["campaign", "--kind", "profile-shape", "--seed", "103", "--replicas", "40",
+                      "--param", "k_ladder=[400,1600]", "--param", "block_size=9", *TWO_THREADS],
+    "tails": ["campaign", "--kind", "tails", "--seed", "104", "--param", "m_ladder=[200,400]",
+              "--param", "replicas_per_m=[400,300]", "--param", "cross_m=12",
+              "--param", "cross_replicas=500", "--param", "block_size=128", *TWO_THREADS],
+    "inverse-time": ["campaign", "--kind", "inverse-time", "--seed", "105", "--replicas", "5000",
+                     "--param", "n=8", "--param", "c_targets=[-0.5,0.0,1.0]",
+                     "--param", "cross_replicas=3000", "--param", "block_size=1200", *TWO_THREADS],
+    "wterms": ["campaign", "--kind", "wterms", "--seed", "106", "--replicas", "600",
+               "--param", "n_ladder=[30,60]", "--param", "M=0.1", "--param", "block_size=256", *TWO_THREADS],
+    "simulate": ["simulate", "--w", "exp:1.0", "--steps", "3000", "--seed", "107"],
+    # profile blocks are 65536 replicas: 140000 makes three
+    "profile": ["profile", "--w", "exp:1.0", "--m", "1", "--replicas", "140000", "--seed", "108",
+                *TWO_THREADS],
+}
+
+PINNED = {
+    "endpoint": {
+        "endpoint.csv": "a204e018b0f7d3ff1245006297b4f442b5f7d4e3104c42ccf7427e67c8b46b53",
+        "endpoint_hist.csv": "c830d4827183f7f3a84ca2925e6bf9d0d558b0ce00f2dbbd925bfd6b7c4a13b7",
+        "results.json": "680f1a95dd12e24fca07d4f82135a40136a1b49b0cf2e9fecee31074288dea0a",
+    },
+    "inverse-time": {
+        "m": [3, 4, 7],
+        "hits": [82, 146, 0],
+        "walk_hits": [44, 88, 0],
+    },
+    "lclt-table": {
+        "lclt_table.csv": "cef0ac0356a889cca3c37b228b45a56fae6b0e993b356881a6f537c62f7d0819",
+        "results.json": "24f495e0cac54e0bdcab84378770568e885b6d6dc154da4d0ea365b146600a2f",
+    },
+    "profile": {
+        "profile.csv": "5c0a3e8c9d1b9d312a387b647782dd1838dba2d99a0b2903e0299ec7832a71a2",
+    },
+    "profile-shape": {
+        "profile_shape.csv": "a99347d6f9a0b26ad85d15dda64f5af9790b09cbaba89baeeffce1edb052ab62",
+        "results.json": "ad7ac0cfb0c1e51265d5c9bfe55b310e3548e88d82f3805b37ab465ec33783d2",
+    },
+    "simulate": {
+        "localtimes.csv": "e75711bc97a03a25170f85e72ae8333db314f60b731aa98c81262dd32fbf7af6",
+        "walk_summary.csv": "d4c8bd0ca108aa0ca3811225d5c3be41673b7890f60841266e9eb3b427d97890",
+    },
+    "tails": {
+        "results.json": "7fdffef5b036890032b55dfeb93af36a2f221692397a2a754255a67da2201578",
+        "tail_cross.csv": "608919f37f60c31b33af7c822df4230111ead3b8abf3639ae1a709159ef4e16c",
+        "tails.csv": "1257b65915924fb06c95d3522a11c2750e35658ef1355b5a81278b5a1c5c0ced",
+    },
+    "wterms": {
+        "results.json": "f8e5b55f0c9efae6a8eb8988c475b9215bd05a608193e9bd24611ec0844c0cba",
+        "wterms.csv": "07397f6c0fed23cbbfe9cb0af151c3272bcb192a3be2bc80948931626d8d33a2",
+    },
+}
+
+
+def _digests(kind: str, outdir: Path) -> dict:
+    if kind == "inverse-time":
+        tables = json.loads((outdir / "results.json").read_text())["tables"]
+        return {
+            "m": [r["m"] for r in tables["inverse_time"]],
+            "hits": [r["hits"] for r in tables["inverse_time"]],
+            "walk_hits": [round(r["walk_freq"] * 3000) for r in tables["inverse_time_cross"]],
+        }
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+
+
+def _run(kind: str, outdir: Path) -> dict:
+    assert main(CASES[kind] + ["--out", str(outdir)]) in (0, 1)
+    return _digests(kind, outdir)
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_pinned_outputs(tmp_path, kind):
+    assert _run(kind, tmp_path / kind) == PINNED[kind]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        got = {kind: _run(kind, Path(tmp) / kind) for kind in sorted(CASES)}
+    json.dump(got, sys.stdout, indent=4)
+    print()
