@@ -1,4 +1,4 @@
-"""Layer bench for the lockstep walk, the Ray-Knight sampler, the exact local-CLT DP and the CLI import, before and after.
+"""Layer bench for the lockstep walk, the Ray-Knight sampler, the exact local-CLT DP, the lclt CLI and the CLI import, before and after.
 
     python scripts/bench.py --baseline PARENT_CHECKOUT --out OUT.json
 
@@ -15,7 +15,9 @@ tail campaign's g = log^2 m (the same draw figures, and a sha256 of the
 event counts), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
-above the high-water mark the imports left).  The first DP run of each tree
+above the high-water mark the imports left), and of one `srrw lclt --N LCLT_N`
+CLI run: the DP, both sup errors and the lclt_grid.csv writer, with a sha256
+of each of its two result files.  The first DP run of each tree
 saves its occupied box; the report's "dp_agreement" gives, per N, both
 trees' box and truncated_mass and the largest absolute cell difference
 between them.  Every tree named (this
@@ -30,6 +32,7 @@ name an uncommitted tree).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -50,6 +53,7 @@ RK_REPLICAS = 65536
 RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaign
 TAIL_M = 1000
 TAIL_REPLICAS = 20000  # the first point of the tail campaign's default ladder
+LCLT_N = 200  # the size of the benchmark's lclt_exact operation
 REPEATS = 10
 
 
@@ -160,6 +164,19 @@ def child_dp(N: int, save: str | None = None) -> dict:
     }
 
 
+def child_lclt() -> dict:
+    from srrw.cli import main
+
+    with tempfile.TemporaryDirectory(prefix="srrw-bench-lclt-") as out:
+        t0 = time.perf_counter()
+        with contextlib.redirect_stdout(sys.stderr):  # stdout carries the child's JSON
+            code = main(["lclt", "--N", str(LCLT_N), "--out", out])
+        wall = time.perf_counter() - t0
+        digests = {f"{name}_sha256": hashlib.sha256((Path(out) / name).read_bytes()).hexdigest()
+                   for name in ("lclt.json", "lclt_grid.csv")}
+    return {"wall_s": wall, "exit_code": code, **digests}
+
+
 def dp_agreement(saved: dict) -> dict:
     """Per N: each tree's box and truncated_mass, and the largest absolute
     cell difference between the trees' saved boxes (None if the boxes differ)."""
@@ -224,6 +241,8 @@ def main(argv=None) -> int:
             res = child_rayknight()
         elif args.child[0] == "tails":
             res = child_tails()
+        elif args.child[0] == "lclt":
+            res = child_lclt()
         else:
             res = child_dp(int(args.child[1]), *args.child[2:])
         import srrw
@@ -236,7 +255,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["rayknight"], ["tails"]] + [["dp", str(n)] for n in SIZES]
+    cases = [["import"], ["walk"], ["rayknight"], ["tails"], ["lclt"]] + [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     saved = {label: {} for label in trees}
     with tempfile.TemporaryDirectory(prefix="srrw-bench-") as scratch:
@@ -262,6 +281,7 @@ def main(argv=None) -> int:
             "batch_total_time": summary(samples[label]["rayknight"]),
             "batch_tail_events": summary(samples[label]["tails"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
+            "cli_lclt": summary(samples[label]["lclt"]),
         }
     report = {
         "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
@@ -270,6 +290,7 @@ def main(argv=None) -> int:
         "walk": {"replicas": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 1},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
+        "cli_lclt": {"N": LCLT_N, "w": "exp:1"},
         "runs": runs,
         "dp_agreement": agreement,
     }
@@ -279,6 +300,7 @@ def main(argv=None) -> int:
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
                  ("tails", "wall_s"): f"batch_tail_events_m{TAIL_M}_R{TAIL_REPLICAS}",
+                 ("lclt", "wall_s"): f"cli_lclt_N{LCLT_N}",
                  **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
         # median of the parent's time over the change's, and each pair's own ratio
         report["speedup"] = {}

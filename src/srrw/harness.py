@@ -134,6 +134,10 @@ class CampaignConfig:
     def __post_init__(self):
         if self.ladder and not getattr(self, self.ladder):
             raise CampaignConfigError(f"{self.kind}: {self.ladder} is empty")
+        if self.ladder and min(getattr(self, self.ladder)) < 1:
+            raise CampaignConfigError(f"{self.kind}: {self.ladder} entries must be >= 1")
+        if getattr(self, "replicas", 1) < 1:
+            raise CampaignConfigError(f"{self.kind}: replicas={self.replicas} must be >= 1")
 
     def weight_fn(self) -> WeightFunction:
         return WeightFunction.from_spec(self.weight)
@@ -163,6 +167,7 @@ class LcltTableConfig(CampaignConfig):
     budget_steps: int | None = None
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.grid():
             raise CampaignConfigError(f"lclt_table: no site |x| <= n - n^alpha has the parity of n^2 at n={self.n}")
 
@@ -200,6 +205,8 @@ class TailConfig(CampaignConfig):
             raise CampaignConfigError(
                 f"tails: replicas_per_m has {len(self.replicas_per_m)} entries for {len(self.m_ladder)} m_ladder points"
             )
+        if min(self.replicas_per_m) < 1:
+            raise CampaignConfigError("tails: replicas_per_m entries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -214,6 +221,9 @@ class InverseTimeConfig(CampaignConfig):
     riemann_K: float = 6.0
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.n < 1:
+            raise CampaignConfigError(f"inverse_time: n={self.n} must be >= 1")
         if (self.x - self.n * self.n) % 2 != 0:
             raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
         if not self.levels():

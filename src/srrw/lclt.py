@@ -12,11 +12,19 @@ xi = h + 1/2 of step j moves a cell by h*D + const with D = HB + (j - c), so
 on a strided view with rows of D cells it is a shift by h whole rows, and a
 block of _BAND_ROWS target rows is a banded Toeplitz matrix of the atoms times
 a block of source rows.  Zero pad columns keep shifts from wrapping into the
-next row's box; what lands outside the clipped box is zeroed after the step
-(its mass is counted in truncated_mass).  Column chunks keep each gemm at
-m*n*k <= 2**18, where OpenBLAS stays on one thread.  BLAS's summation order
-replaces the atom order: the box is unchanged and cells agree with an
-atom-by-atom update to 1e-15 absolute, but the last bits depend on the BLAS.
+next row's box.  A block multiplies only the columns that hold box cells of
+its grid rows: mod D those columns drift by -w_j per grid row, so they form
+one circular window of W + (rows - 1)*|w_j| columns, split in two where it
+wraps past D (the whole D-row when it is longer).  Every cell a product
+writes holds the exact convolution of the source, so outside the box only
+images the clip cut off are nonzero (their mass is counted in
+truncated_mass): they lie within the clip's overshoot before or after a box
+row, or past the last row, and only those spill strips are zeroed, along
+with the rows and columns of the law two steps back that the new box leaves
+out.  Column chunks keep each gemm at m*n*k <= 2**18, where OpenBLAS stays
+on one thread.  BLAS's summation order replaces the atom order: the box is
+unchanged and cells agree with an atom-by-atom update to 1e-15 absolute, but
+the last bits depend on the BLAS and on the window bounds.
 
 The limiting density of (Y/sqrt(N), S/N^{3/2}) has covariance
 sigma^2 * [[1, 1/2], [1/2, 1/3]]; inverting gives the quadratic form
@@ -31,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import SupportBudgetError
 from .eta import EtaKernel, Lattice1DDistribution, stationary_distribution
@@ -164,6 +171,50 @@ def _dp_grid(h: np.ndarray, sigma: float, N: int, sd_cap: float):
     return c, w2, clip_a_final, clip_b_final, HA, HB, slack, HA * HB + 2 * slack
 
 
+def _band_product(src, dst, band, HB: int, D: int, t0: int, s0: int, nA: int, W: int, spill: tuple) -> None:
+    """Fill the box of nA rows by W columns starting at flat cell t0 of dst
+    with the banded products of src's D-rows, read from flat cell s0, and
+    zero the nonzero cells the products wrote outside the box: spill[0]
+    cells before each box row and spill[1] after it take the clipped images."""
+    h_span = band.shape[1] - _BAND_ROWS
+    width = _GEMM_MNK // band.size  # gemm columns that keep m*n*k on one BLAS thread
+    wj = D - HB
+    n_rows = -(-((nA - 1) * HB + W) // D)
+    end = 0  # one past the last cell written
+    for r0 in range(0, n_rows, _BAND_ROWS):
+        m = min(_BAND_ROWS, n_rows - r0)
+        # grid rows i_a..i_b have box cells in these D-rows; mod D their columns drift by
+        # -w_j per grid row, so the block needs one circular interval of L columns
+        i_a = max((r0 * D - W) // HB + 1, 0)
+        i_b = min(((r0 + m) * D - 1) // HB, nA - 1)
+        if i_a > i_b:  # the block lies in a gap between box rows
+            continue
+        L = W + (i_b - i_a) * abs(wj)
+        col = ((i_a if wj <= 0 else i_b) * HB) % D
+        if L >= D:
+            windows = ((0, D),)
+        elif col + L > D:
+            windows = ((col, D - col), (0, col + L - D))
+        else:
+            windows = ((col, L),)
+        for col, n in windows:
+            n_chunks = -(-n // width)
+            chunk = -(-n // n_chunks)
+            end = max(end, t0 + (r0 + m - 1) * D + col + n_chunks * chunk)
+            x = np.ndarray((n_chunks, m + h_span, chunk), np.float64, src, 8 * (s0 + r0 * D + col),
+                           (8 * chunk, 8 * D, 8))
+            y = np.ndarray((n_chunks, m, chunk), np.float64, dst, 8 * (t0 + r0 * D + col), (8 * chunk, 8 * D, 8))
+            np.matmul(band[:m, :m + h_span], x, out=y)
+    # every cell written holds the exact convolution of src, so outside the box only the
+    # clipped images are nonzero (their mass is in truncated): in the spill strips of
+    # the gaps between box rows, and in what was written past the last row
+    gap = HB - W
+    lead, trail = min(spill[0], gap), min(spill[1], gap)
+    np.ndarray((nA - 1, lead), np.float64, dst, 8 * (t0 + HB - lead), (8 * HB, 8))[...] = 0.0
+    np.ndarray((nA - 1, trail), np.float64, dst, 8 * (t0 + W), (8 * HB, 8))[...] = 0.0
+    dst[t0 + (nA - 1) * HB + W:end] = 0.0
+
+
 def exact_bivariate_pmf(
     step_law: Lattice1DDistribution,
     N: int,
@@ -200,13 +251,12 @@ def exact_bivariate_pmf(
     rows = np.arange(_BAND_ROWS)[:, None]
     band = np.zeros((_BAND_ROWS, _BAND_ROWS + h_span))
     band[rows, rows + h_hi - h] = p
-    width = _GEMM_MNK // band.size  # gemm columns that keep m*n*k on one BLAS thread
     cur[center_a, center_b] = 1.0
     alo = ahi = center_a
     blo = bhi = center_b
     ahi += 1
     bhi += 1
-    stale = (alo, ahi)  # rows of nxt that still hold the law of two steps back
+    stale = (alo, ahi, blo, bhi)  # the box in nxt that still holds the law of two steps back
     par_a = par_b = 0
     truncated = 0.0
 
@@ -245,21 +295,17 @@ def exact_bivariate_pmf(
         # atom k moves a flat cell by h_k*D + par_a*HB + cb with D = HB + w_j: on rows of
         # length D it is a shift by h_k rows, and a block of target rows is band @ source rows
         D = HB + wj
+        nA, W = ta_hi - ta_lo, tb_hi - tb_lo
         t0 = slack + ta_lo * HB + tb_lo
         s0 = t0 - par_a * HB - cb - h_hi * D
-        n_rows = -(-((ta_hi - 1 - ta_lo) * HB + tb_hi - tb_lo) // D)
-        n_chunks = -(-D // width)
-        chunk = -(-D // n_chunks)
-        for r0 in range(0, n_rows, _BAND_ROWS):
-            m = min(_BAND_ROWS, n_rows - r0)
-            x = as_strided(src[s0 + r0 * D:], (n_chunks, m + h_span, chunk), (8 * chunk, 8 * D, 8))
-            y = as_strided(dst[t0 + r0 * D:], (n_chunks, m, chunk), (8 * chunk, 8 * D, 8))
-            np.matmul(band[:m, :m + h_span], x, out=y)
-        # zero what landed outside the target box (its mass is in truncated) and stale rows
-        nxt[ta_lo:ta_hi, :tb_lo] = nxt[ta_lo:ta_hi, tb_hi:] = 0.0
+        if min(nA, W) > 0:  # the clip can empty the box
+            spill = (tb_lo - blo - int(shift_b.min()), bhi + int(shift_b.max()) - tb_hi)
+            _band_product(src, dst, band, HB, D, t0, s0, nA, W, spill)
+        # then zero the stale law's rows and columns outside the new box
         nxt[stale[0]:ta_lo] = nxt[ta_hi:stale[1]] = 0.0
-        dst[slack + ta_hi * HB:t0 + (n_rows - 1) * D + n_chunks * chunk] = 0.0
-        stale = (alo, ahi)
+        both = nxt[max(stale[0], ta_lo):min(stale[1], ta_hi)]
+        both[:, stale[2]:tb_lo] = both[:, tb_hi:stale[3]] = 0.0
+        stale = (alo, ahi, blo, bhi)
         src, dst, cur, nxt = dst, src, nxt, cur
         alo, ahi, blo, bhi = ta_lo, ta_hi, tb_lo, tb_hi
         par_a, par_b = par_a_new, par_b_new

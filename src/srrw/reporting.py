@@ -42,17 +42,22 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, float):
-        return repr(v)
+        return repr(float(v))  # numpy 2 spells a float64's repr with its type name
     return str(v)
 
 
-def write_csv(path, table_name: str, rows: list) -> None:
+def write_csv(path, table_name: str, rows) -> None:
+    """Write a table: rows are dicts keyed by column, or, for a table of
+    TABLE_COLUMNS, one str of lines already formatted the way _fmt would."""
     cols = TABLE_COLUMNS.get(table_name)
     if cols is None:
         cols = sorted(rows[0].keys()) if rows else []
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)
+        if isinstance(rows, str):
+            fh.write(rows)
+            return
         for row in rows:
             writer.writerow([_fmt(row.get(c, "")) for c in cols])
 

@@ -148,6 +148,10 @@ def test_inverse_time_campaign_writes_outputs(tmp_path):
         with open(out / f"{name}.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert rows and len(rows) == len(results["tables"][name])
+        # every cell is a number: no numpy scalar spelled with its type name
+        for row in rows:
+            for col, cell in row.items():
+                assert re.fullmatch(r"-?\d+(\.\d*)?(e[-+]\d+)?|-?inf|nan", cell), (name, col, cell)
 
 
 def test_campaign_requires_kind_or_manifest(tmp_path):
@@ -179,6 +183,12 @@ def test_console_entry_point():
     ("inverse-time", "c_targets=[-10]", "no c target gives a level m >= 1"),
     ("inverse-time", "c_targets=[]", "no c target gives a level m >= 1"),
     ("lclt-table", "n=1", "no site |x| <= n - n^alpha has the parity of n^2"),
+    # counts that would end in a traceback
+    ("endpoint", "replicas=0", "endpoint: replicas=0 must be >= 1"),
+    ("wterms", "replicas=0", "wterms: replicas=0 must be >= 1"),
+    ("inverse-time", "n=0", "inverse_time: n=0 must be >= 1"),
+    ("endpoint", "n_ladder=[0, 8]", "endpoint: n_ladder entries must be >= 1"),
+    ("tails", "replicas_per_m=[20,0,4]", "tails: replicas_per_m entries must be >= 1"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"

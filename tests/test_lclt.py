@@ -233,6 +233,13 @@ def test_dp_matches_reference(request, law_name, N, sd_cap):
     big = want > 1e-200
     assert (np.abs(got - want)[big] <= 1e-13 * want[big]).all()
     assert (got[~big] <= 1e-200).all()
+    # every cell of the flat buffer outside the box is exactly 0: the windows' spill,
+    # the overhang and the stale law were all zeroed
+    buf = pmf.arr.base.copy()
+    off = (pmf.arr.ctypes.data - pmf.arr.base.ctypes.data) // buf.itemsize
+    alo, ahi, blo, bhi = pmf.box
+    buf[off:off + pmf.arr.size].reshape(pmf.arr.shape)[alo:ahi, blo:bhi] = 0.0
+    assert not buf.any()
     if sd_cap == 2.0 and N >= 30 and law_name != "one_sided":
         # clipping applied on both axes: the box is narrower than the support
         h_span = len(law.probs) - 1
