@@ -5,8 +5,14 @@
 Measures, in a fresh process each, the wall time of `import srrw.cli`, of
 one single-threaded `vectorwalk.final_positions` block of WALK_REPLICAS exp:1
 walks over WALK_STEPS steps (replica-steps/s alongside, and a sha256 of the
-final positions, which must agree between trees), of one single-threaded
-`RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
+final positions, which must agree between trees), of two such blocks run
+concurrently on two threads through `harness.map_blocks`, as the endpoint
+campaign runs them (CPU time and a sha256 of both blocks' positions), of one
+single-threaded `vectorwalk.edge_hit_times` block of WALK_REPLICAS walks at
+the n=24 inverse-time campaign's edge, levels and t_cap = 576, the driver
+with a retiring hook (a sha256 of the hit times), each walk case with its
+peak RSS and the part of it above the high-water mark the imports left, of
+one single-threaded `RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
 RK_LEVELS on exp:1 (profiles/s, the time and count of the
 `MarginalTable.draw` calls inside it, draws/s, and a sha256 of the totals,
 which must agree between trees), of one single-threaded
@@ -54,6 +60,7 @@ RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaig
 TAIL_M = 1000
 TAIL_REPLICAS = 20000  # the first point of the tail campaign's default ladder
 LCLT_N = 200  # the size of the benchmark's lclt_exact operation
+EDGE_SITE, EDGE_T_CAP = -1, 576  # the n=24 inverse-time cross-check: edge x-1 at x=0, t_cap n^2
 REPEATS = 10
 
 
@@ -64,19 +71,53 @@ def child_import() -> dict:
     return {"wall_s": time.perf_counter() - t0}
 
 
-def child_walk() -> dict:
-    from srrw.harness import substream
-    from srrw.vectorwalk import final_positions
+def _walk_case(fn) -> tuple:
+    """fn(w, harness, vectorwalk) on exp:1, with its wall and CPU time and the
+    peak RSS, whole and above the high-water mark the imports left."""
+    import resource
+
+    from srrw import harness, vectorwalk
     from srrw.weights import WeightFunction
 
     w = WeightFunction("exponential", (1.0,))
-    t0 = time.perf_counter()
-    pos, _, _ = final_positions(w, WALK_STEPS, WALK_REPLICAS, substream(1, 0))
-    wall = time.perf_counter() - t0
+    base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    t0, c0 = time.perf_counter(), time.process_time()
+    out = fn(w, harness, vectorwalk)
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return out, {"wall_s": wall, "cpu_s": cpu, "peak_rss_mb": peak, "walk_rss_mb": peak - base}
+
+
+def child_walk() -> dict:
+    pos, res = _walk_case(lambda w, harness, vw: vw.final_positions(
+        w, WALK_STEPS, WALK_REPLICAS, harness.substream(1, 0))[0])
     return {
-        "wall_s": wall,
-        "replica_steps_per_s": WALK_REPLICAS * WALK_STEPS / wall,
+        **res,
+        "replica_steps_per_s": WALK_REPLICAS * WALK_STEPS / res["wall_s"],
         "positions_sha256": hashlib.sha256(pos.tobytes()).hexdigest(),
+    }
+
+
+def child_walk2() -> dict:
+    def run(w, harness, vw):
+        return harness.map_blocks(2 * WALK_REPLICAS, WALK_REPLICAS, 2, lambda b, count: vw.final_positions(
+            w, WALK_STEPS, count, harness.substream(1, b))[0])
+
+    pos, res = _walk_case(run)
+    return {
+        **res,
+        "replica_steps_per_s": 2 * WALK_REPLICAS * WALK_STEPS / res["wall_s"],
+        "positions_sha256": hashlib.sha256(b"".join(p.tobytes() for p in pos)).hexdigest(),
+    }
+
+
+def child_edge() -> dict:
+    (times, _, unfinished), res = _walk_case(lambda w, harness, vw: vw.edge_hit_times(
+        w, EDGE_SITE, RK_LEVELS, WALK_REPLICAS, harness.substream(1, 0), t_cap=EDGE_T_CAP))
+    return {
+        **res,
+        "unfinished": len(unfinished),
+        "times_sha256": hashlib.sha256(times.tobytes() + unfinished.tobytes()).hexdigest(),
     }
 
 
@@ -237,6 +278,10 @@ def main(argv=None) -> int:
             res = child_import()
         elif args.child[0] == "walk":
             res = child_walk()
+        elif args.child[0] == "walk2":
+            res = child_walk2()
+        elif args.child[0] == "edge":
+            res = child_edge()
         elif args.child[0] == "rayknight":
             res = child_rayknight()
         elif args.child[0] == "tails":
@@ -255,7 +300,8 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["rayknight"], ["tails"], ["lclt"]] + [["dp", str(n)] for n in SIZES]
+    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["rayknight"], ["tails"], ["lclt"]]
+    cases += [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     saved = {label: {} for label in trees}
     with tempfile.TemporaryDirectory(prefix="srrw-bench-") as scratch:
@@ -278,6 +324,8 @@ def main(argv=None) -> int:
             **tree_id(tree),
             "import_srrw_cli": summary(samples[label]["import"]),
             "final_positions": summary(samples[label]["walk"]),
+            "final_positions_2threads": summary(samples[label]["walk2"]),
+            "edge_hit_times": summary(samples[label]["edge"]),
             "batch_total_time": summary(samples[label]["rayknight"]),
             "batch_tail_events": summary(samples[label]["tails"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
@@ -288,6 +336,9 @@ def main(argv=None) -> int:
                     "python": platform.python_version(), "numpy": version("numpy"), "scipy": version("scipy")},
         "repeats": REPEATS,
         "walk": {"replicas": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 1},
+        "walk2": {"blocks": 2, "replicas_per_block": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 2},
+        "edge": {"replicas": WALK_REPLICAS, "edge_site": EDGE_SITE, "levels": list(RK_LEVELS),
+                 "t_cap": EDGE_T_CAP, "threads": 1},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
         "cli_lclt": {"N": LCLT_N, "w": "exp:1"},
@@ -297,12 +348,18 @@ def main(argv=None) -> int:
     if "parent" in runs:
         names = {("import", "wall_s"): "import_srrw_cli",
                  ("walk", "wall_s"): f"final_positions_R{WALK_REPLICAS}_T{WALK_STEPS}",
+                 ("walk", "peak_rss_mb"): "final_positions_peak_rss",
+                 ("walk2", "wall_s"): f"final_positions_2threads_R{2 * WALK_REPLICAS}_T{WALK_STEPS}",
+                 ("walk2", "cpu_s"): "final_positions_2threads_cpu",
+                 ("walk2", "peak_rss_mb"): "final_positions_2threads_peak_rss",
+                 ("edge", "wall_s"): f"edge_hit_times_R{WALK_REPLICAS}_T{EDGE_T_CAP}",
+                 ("edge", "peak_rss_mb"): "edge_hit_times_peak_rss",
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
                  ("tails", "wall_s"): f"batch_tail_events_m{TAIL_M}_R{TAIL_REPLICAS}",
                  ("lclt", "wall_s"): f"cli_lclt_N{LCLT_N}",
                  **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
-        # median of the parent's time over the change's, and each pair's own ratio
+        # median of the parent's time (or RSS) over the change's, and each pair's own ratio
         report["speedup"] = {}
         report["pair_speedups"] = {}
         for (case, key), name in names.items():

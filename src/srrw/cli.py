@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -26,6 +27,15 @@ from .weights import WeightFunction
 
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
+
+# per command, the range each argument must lie in; checked before anything is written
+ARG_RANGES = {
+    "simulate": {"steps": (">=", 0)},
+    "stationary": {"window": (">=", 1)},
+    "profile": {"x": ("<=", 0), "m": (">=", 1), "replicas": (">=", 1), "threads": (">=", 1)},
+    "lclt": {"N": (">=", 1), "box": (">", 0), "stride": (">=", 0)},
+}
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
 
 
 def _weight(text: str) -> WeightFunction:
@@ -147,18 +157,17 @@ def cmd_lclt(args) -> int:
     # the same order as Python, math.exp the exponential (np.exp may differ in the last ulp)
     lines = []
     sqn, n32 = math.sqrt(args.N), args.N**1.5
-    step = max(args.stride, 1)
     alo, _, blo, bhi = pmf.box
-    bt = pmf.bt_values()[::step]
+    bt = pmf.bt_values()[::args.stride]
     for ia, a in enumerate(pmf.a_values().tolist()):
         u = a / sqn
-        if ia % step or abs(u) > args.box:
+        if ia % args.stride or abs(u) > args.box:
             continue
         b = bt + pmf.c * a
         v = b / n32
         keep = np.abs(v) <= args.box
         b, v = b[keep], v[keep]
-        exact = pmf.arr[alo + ia, blo:bhi][::step][keep]
+        exact = pmf.arr[alo + ia, blo:bhi][::args.stride][keep]
         q = (u * u + 3 * v * v - 3 * u * v) * 2.0 / s2
         pred = [math.exp(-x) for x in q.tolist()]
         err = np.abs(scale * exact - np.array(pred))
@@ -292,6 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, (op, bound) in ARG_RANGES.get(args.command, {}).items():
+        if not _OPS[op](getattr(args, name), bound):  # a NaN --box fails too
+            print(f"error: --{name} {getattr(args, name)} must be {op} {bound}", file=sys.stderr)
+            return USAGE_ERROR
     if args.command == "lclt" and args.stride == 0:
         # target ~50k CSV rows: the full box grid has ~36 N^2 lattice points
         args.stride = max(1, math.ceil(6 * args.N / 224))

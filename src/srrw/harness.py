@@ -129,6 +129,7 @@ class CampaignConfig:
     threads: int = 1
     block_size: int = DEFAULT_BLOCK
 
+    kind = "campaign"  # each campaign kind names its own
     ladder = None  # the tuple field a campaign steps along; an empty one gives no evidence
 
     def __post_init__(self):
@@ -138,6 +139,9 @@ class CampaignConfig:
             raise CampaignConfigError(f"{self.kind}: {self.ladder} entries must be >= 1")
         if getattr(self, "replicas", 1) < 1:
             raise CampaignConfigError(f"{self.kind}: replicas={self.replicas} must be >= 1")
+        if self.block_size < 1 or self.threads < 1:
+            raise CampaignConfigError(
+                f"{self.kind}: block_size={self.block_size} and threads={self.threads} must be >= 1")
 
     def weight_fn(self) -> WeightFunction:
         return WeightFunction.from_spec(self.weight)

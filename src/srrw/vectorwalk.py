@@ -1,12 +1,17 @@
 """Batched walk simulation: one lockstep engine, `_Lockstep.run`, and three drivers.
 
 The step rule only needs d = l+ - l- at the current site, so each replica of
-a block keeps a row of `width` sites in one flat int16 array and all rows
-step together, one uniform each per step.  A driver's hook sees each row's old
-position and sign and returns the rows it is done with; they keep stepping
-until a quarter of the block is done, then the block is compacted.  Window
-and depth are guesses: on overflow the block is re-run from its seed with
-doubled capacity, and as p_right(d) does not depend on it, with the same output.
+a block keeps a row of `width` sites in one flat array (int8 while d fits,
+int16 beyond) and all rows step together, one uniform each per step.  The
+engine walks in tiles: one RNG call draws the uniforms of up to TILE steps,
+in the order per-step calls would, and each chunk of CHUNK rows takes all of
+the tile's steps before the next chunk starts, so the cache lines a chunk
+touches, and its temporaries, stay in cache.  A driver with a hook walks one
+step per tile: the hook sees each row's old position and sign and returns the
+rows it is done with; they keep stepping until a quarter of the block is
+done, then the block is compacted.  Window and depth are guesses: on overflow
+the block is re-run from its seed with doubled capacity, and as p_right(d)
+does not depend on it, with the same output.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ import numpy as np
 from .errors import SimulationBudgetError
 from .walk import _as_generator
 from .weights import WeightFunction
+
+
+TILE = 16  # steps drawn by one RNG call
+CHUNK = 8192  # rows that take a tile's steps together
 
 
 class _NeedWider(Exception):
@@ -56,7 +65,8 @@ class _Lockstep:
         # p_right(d) at index d, negative d wrapping from the end
         self.ptab = np.roll(w.p_right_table(dmax), -dmax)
         self.base = np.arange(replicas) * width + self.off  # flat index of site 0, per row
-        self.D = np.zeros(replicas * width, dtype=np.int16)
+        # D stays within +-(dmax - 1)
+        self.D = np.zeros(replicas * width, dtype=np.int8 if dmax <= 128 else np.int16)
         for site, val in (d_init or {}).items():
             self.D[self.base + site] = val
         self.LP = np.zeros(replicas * width, dtype=np.int32) if want_lplus else None
@@ -68,46 +78,54 @@ class _Lockstep:
         return self.fi - self.base
 
     def run(self, steps: int, on_step=None) -> None:
-        """Advance up to `steps` steps.  on_step(t, old, s) after step t gets
-        each row's old position and sign and returns finished rows or None;
-        the run ends early once every row is finished."""
+        """Advance up to `steps` steps, in tiles of up to TILE steps over
+        chunks of CHUNK rows.  With on_step, each tile is one step:
+        on_step(t, old, s) after step t gets each row's old position and
+        sign and returns finished rows or None; the run ends early once every
+        row is finished."""
         n = len(self.fi)
         if on_step is not None:
             self.idx, self.retired = np.arange(n), np.zeros(n, dtype=bool)
-        if not n:
-            return
-        u = np.empty(n)
-        check_at = 1
-        for t in range(1, steps + 1):
-            if t >= check_at:
-                pos = self.positions()
-                reach = max(int(pos.max()), -int(pos.min()))
-                if reach >= self.off - 1:
-                    raise _NeedWider
-                # a replica moves one site per step, so none meets the edge sooner
-                check_at = t + self.off - 1 - reach
-            fi = self.fi
-            d = self.D[fi]
-            if d.max() >= self.dmax - 1 or d.min() <= 1 - self.dmax:
-                raise _NeedDeeper
-            p = self.ptab[d.astype(np.intp)]
-            self.rng.random(out=u)
-            right = u < p
-            s = 2 * right.astype(np.int16) - 1
-            self.D[fi] = d + s
-            if self.LP is not None:
-                self.LP[fi] += right
-            old = fi - self.base if on_step else None
-            fi += s
-            done = on_step(t, old, s) if on_step else None
+        tile = TILE if on_step is None else 1
+        ubuf, sbuf = np.empty(tile * n), np.empty(n, dtype=self.D.dtype)
+        t = 0
+        while t < steps and n:
+            pos = self.positions()
+            reach = max(int(pos.max()), -int(pos.min()))
+            if reach >= self.off - 1:
+                raise _NeedWider
+            # a replica moves one site per step, so none meets the edge within the tile
+            k = min(tile, steps - t, self.off - 1 - reach)
+            u, s = ubuf[: k * n].reshape(k, n), sbuf[:n]
+            self.rng.random(out=u)  # row j: the draws of step t+j+1, as per-step calls give them
+            for c in range(0, n, CHUNK):
+                s[c : c + CHUNK] = self._steps(u[:, c : c + CHUNK], self.fi[c : c + CHUNK])
+            t += k
+            if on_step is None:
+                continue
+            done = on_step(t, pos, s)  # a one-step tile: pos holds the old positions
             if done is None or not len(done):
                 continue
             self.retired[done] = True
             if self.retired.sum() >= 0.25 * len(self.idx):
                 self._compact()
-                if not len(self.idx):
-                    return
-                u = u[: len(self.idx)]
+                n = len(self.fi)
+
+    def _steps(self, u, fi) -> np.ndarray:
+        """One step per row of u for the rows whose current flat index is fi,
+        advanced in place; returns the last step's signs."""
+        D, LP = self.D, self.LP
+        for uj in u:
+            d = D[fi]
+            if d.max() >= self.dmax - 1 or d.min() <= 1 - self.dmax:
+                raise _NeedDeeper
+            right = uj < self.ptab[d.astype(np.intp)]
+            s = 2 * right.astype(D.dtype) - 1  # D's dtype: a wider s slows the scatter
+            D[fi] = d + s
+            if LP is not None:
+                LP[fi] += right
+            fi += s
+        return s
 
     def _compact(self) -> None:
         keep = ~self.retired
@@ -129,20 +147,20 @@ def final_positions(w: WeightFunction, steps: int, replicas: int, seed, want_lpl
     site_lo is the site of the first l+ column.  With `snapshots`, returns
     (pos, lplus, site_lo, {k: positions at time k}).
     """
-    snap_at = set(int(s) for s in snapshots)
+    asked = {int(s) for s in snapshots}
+    snap_at = {s for s in asked if 1 <= s <= steps}
 
     def run(width, dmax):
         walk = _Lockstep(w, replicas, width, dmax, seed, want_lplus=want_lplus)
-        snaps = {}
-
-        def snap(t, old, s):
-            if t in snap_at:
-                snaps[t] = walk.positions()
-
-        walk.run(steps, snap if snap_at else None)
+        snaps, t = {}, 0
+        for stop in sorted(snap_at | {steps}):  # so no tile crosses a snapshot time
+            walk.run(stop - t)
+            t = stop
+            if stop in snap_at:
+                snaps[stop] = walk.positions()
         lplus = None if walk.LP is None else walk.LP.reshape(replicas, width)
         out = (walk.positions(), lplus, -walk.off)
-        return out + (snaps,) if snap_at else out
+        return out + (snaps,) if asked else out
 
     return _retrying(run, default_width(steps), 96)
 

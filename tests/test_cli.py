@@ -198,6 +198,30 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["lclt", "--N", "0"], "--N 0 must be >= 1"),
+    (["lclt", "--box", "-1"], "--box -1.0 must be > 0"),
+    (["lclt", "--box", "nan"], "--box nan must be > 0"),
+    (["lclt", "--stride", "-3"], "--stride -3 must be >= 0"),
+    (["simulate", "--w", "exp:1", "--steps", "-5"], "--steps -5 must be >= 0"),
+    (["profile", "--w", "exp:1", "--m", "0"], "--m 0 must be >= 1"),
+    (["profile", "--w", "exp:1", "--m", "3", "--x", "1"], "--x 1 must be <= 0"),
+    (["profile", "--w", "exp:1", "--m", "3", "--replicas", "0"], "--replicas 0 must be >= 1"),
+    (["profile", "--w", "exp:1", "--m", "3", "--threads", "0"], "--threads 0 must be >= 1"),
+    (["stationary", "--w", "exp:1", "--window", "-5"], "--window -5 must be >= 1"),
+    (["campaign", "--kind", "endpoint", "--replicas", "10", "--param", "n_ladder=[4]", "--threads", "-3"],
+     "threads=-3 must be >= 1"),
+])
+def test_bad_argument_writes_nothing(tmp_path, capsys, argv, message):
+    # refused before the manifest is written, not by a traceback or an empty run mid-way
+    out = tmp_path / "o"
+    out.mkdir()
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("flag,content,message", [
     ("--config", '{"n_ladder": [8', "cannot read --config"),
     ("--config", None, "No such file"),

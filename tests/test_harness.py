@@ -21,6 +21,7 @@ from srrw import (
     tail_bounds_suite,
     w_boundary_terms,
 )
+from srrw.errors import CampaignConfigError
 from srrw.harness import ks_vs_uniform, load_expectations, upper95
 
 
@@ -128,6 +129,14 @@ def test_inverse_time_small():
 def test_inverse_time_rejects_bad_parity():
     with pytest.raises(ValueError):
         inverse_time_asymptotics(InverseTimeConfig(master_seed=1, n=12, x=1))
+
+
+@pytest.mark.parametrize("cls", [EndpointConfig, LcltTableConfig, TailConfig, InverseTimeConfig])
+@pytest.mark.parametrize("field,value", [("block_size", 0), ("block_size", -1), ("threads", 0), ("threads", -3)])
+def test_config_rejects_empty_blocks_and_threads(cls, field, value):
+    # block_size=0 would make map_blocks append empty blocks forever
+    with pytest.raises(CampaignConfigError, match=f"{field}={value}"):
+        cls(**{field: value})
 
 
 def test_campaign_dispatch_and_config_round_trip():

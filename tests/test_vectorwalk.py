@@ -373,3 +373,39 @@ def test_kernel_transition_samples_bit_identical(weight, state, forced_retry):
         vals, cens = vw.kernel_transition_samples(weight, state, direction, 2000, seed)
         assert np.array_equal(vals, ref_vals) and cens == ref_cens
     _assert_retried(forced_retry)
+
+
+# -- the tiled engine: chunks, tiles, snapshots and state dtype ------------------
+
+
+@pytest.mark.parametrize("forced_retry", [None, "width"], indirect=True)
+def test_tiled_walk_bit_identical(w_exp, forced_retry):
+    # a ragged last chunk, steps off the tile grid, snapshots inside tiles
+    replicas, steps = 2 * vw.CHUNK + 37, 2 * vw.TILE + 11
+    assert steps % vw.TILE
+    snap_at = {1, 5, vw.TILE + 3, 2 * vw.TILE, steps}
+    seed = substream(44, 0)
+    ref_pos, ref_lp, ref_lo, ref_snaps = _ref_final(w_exp, steps, replicas, seed, want_lplus=True, snap_at=snap_at)
+    pos, lp, site_lo, snaps = vw.final_positions(w_exp, steps, replicas, seed, want_lplus=True,
+                                                 snapshots=sorted(snap_at) + [0, steps + 1])
+    _assert_retried(forced_retry)
+    assert np.array_equal(pos, ref_pos)
+    assert snaps.keys() == snap_at
+    assert all(np.array_equal(snaps[k], ref_snaps[k]) for k in snap_at)
+    # every row takes part: the last chunk's 37 rows moved and counted their l+
+    assert np.array_equal(2 * lp.sum(axis=1) - steps, pos)
+    if forced_retry[0] is None:
+        assert site_lo == ref_lo and np.array_equal(lp, ref_lp)
+
+
+def test_int16_state_matches_int8(w_exp):
+    def run(dmax):
+        walk = vw._Lockstep(w_exp, 3000, vw.default_width(150), dmax, substream(45, 0), want_lplus=True)
+        walk.run(150)
+        return walk
+
+    narrow, edge, wide = run(96), run(128), run(129)
+    assert (narrow.D.dtype, edge.D.dtype, wide.D.dtype) == (np.int8, np.int8, np.int16)
+    for walk in (edge, wide):
+        assert np.array_equal(walk.positions(), narrow.positions())
+        assert np.array_equal(walk.D, narrow.D) and np.array_equal(walk.LP, narrow.LP)
