@@ -1,4 +1,5 @@
-"""Layer bench for the lockstep walk, the Ray-Knight sampler, the exact local-CLT DP, the lclt CLI and the CLI import, before and after.
+"""Layer bench for the lockstep walk, the Ray-Knight sampler, the stationary solve and marginal table, the embedded-chain
+sampler, the exact local-CLT DP, the lclt CLI and the CLI import, before and after.
 
     python scripts/bench.py --baseline PARENT_CHECKOUT --out OUT.json
 
@@ -18,7 +19,11 @@ RK_LEVELS on exp:1 (profiles/s, the time and count of the
 which must agree between trees), of one single-threaded
 `RayKnightSampler.batch_tail_events(TAIL_M, TAIL_REPLICAS)` block at the
 tail campaign's g = log^2 m (the same draw figures, and a sha256 of the
-event counts), and of
+event counts), of the exp:1 stationary solve and marginal-table build on the
+sampler's (-40, 40) window, ETA_BUILDS times from a fresh kernel (the mean
+time of each per build, with the solve's iterations, the table's rows and a
+sha256 of both laws), of one `eta.sample_eta_chain` run of
+ETA_CHAIN_STEPS steps on exp:1 (steps/s and a sha256 of the states), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
 above the high-water mark the imports left), and of one `srrw lclt --N LCLT_N`
@@ -41,6 +46,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import os
 import platform
 import statistics
@@ -59,6 +65,9 @@ RK_REPLICAS = 65536
 RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaign
 TAIL_M = 1000
 TAIL_REPLICAS = 20000  # the first point of the tail campaign's default ladder
+ETA_WINDOW = (-40, 40)  # the window RayKnightSampler solves on
+ETA_BUILDS = 20  # one build takes a few ms
+ETA_CHAIN_STEPS = 1_000_000
 LCLT_N = 200  # the size of the benchmark's lclt_exact operation
 EDGE_SITE, EDGE_T_CAP = -1, 576  # the n=24 inverse-time cross-check: edge x-1 at x=0, t_cap n^2
 REPEATS = 10
@@ -158,10 +167,10 @@ def child_rayknight() -> dict:
 
 
 def child_tails() -> dict:
-    from srrw.harness import GROWTH_FUNCTIONS, substream
+    from srrw.harness import substream
 
     sampler, timer = _timed_sampler()
-    g_m = GROWTH_FUNCTIONS["log2"](TAIL_M)
+    g_m = math.log(TAIL_M) ** 2  # the tail campaign's growth function
     t0 = time.perf_counter()
     events = sampler.batch_tail_events(TAIL_M, TAIL_REPLICAS, substream(1, TAIL_M), g_m)
     wall = time.perf_counter() - t0
@@ -170,6 +179,46 @@ def child_tails() -> dict:
         **timer,
         "draws_per_s": timer["draws"] / timer["draw_s"],
         "events_sha256": hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest(),
+    }
+
+
+def child_stationary() -> dict:
+    from srrw.eta import EtaKernel, marginal_law_table, stationary_distribution
+    from srrw.weights import WeightFunction
+
+    w = WeightFunction("exponential", (1.0,))
+    stationary_s = table_s = 0.0
+    for _ in range(ETA_BUILDS):
+        kernel = EtaKernel(w)
+        t0 = time.perf_counter()
+        st = stationary_distribution(kernel, ETA_WINDOW)
+        t1 = time.perf_counter()
+        table = marginal_law_table(kernel, ETA_WINDOW, stationary=st)
+        stationary_s += t1 - t0
+        table_s += time.perf_counter() - t1
+    return {
+        "wall_s": (stationary_s + table_s) / ETA_BUILDS,
+        "stationary_s": stationary_s / ETA_BUILDS,
+        "table_s": table_s / ETA_BUILDS,
+        "iterations": st.iterations,
+        "rows": table.j_star + 1,
+        "laws_sha256": hashlib.sha256(st.nu.probs.tobytes() + table.cdfs.tobytes()).hexdigest(),
+    }
+
+
+def child_eta_chain() -> dict:
+    from srrw.eta import EtaKernel, sample_eta_chain
+    from srrw.harness import substream
+    from srrw.weights import WeightFunction
+
+    kernel = EtaKernel(WeightFunction("exponential", (1.0,)))
+    t0 = time.perf_counter()
+    seq = sample_eta_chain(kernel, ETA_CHAIN_STEPS, substream(1, 0))
+    wall = time.perf_counter() - t0
+    return {
+        "wall_s": wall,
+        "steps_per_s": ETA_CHAIN_STEPS / wall,
+        "values_sha256": hashlib.sha256(seq.values.tobytes()).hexdigest(),
     }
 
 
@@ -286,6 +335,10 @@ def main(argv=None) -> int:
             res = child_rayknight()
         elif args.child[0] == "tails":
             res = child_tails()
+        elif args.child[0] == "stationary":
+            res = child_stationary()
+        elif args.child[0] == "eta_chain":
+            res = child_eta_chain()
         elif args.child[0] == "lclt":
             res = child_lclt()
         else:
@@ -300,7 +353,8 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["rayknight"], ["tails"], ["lclt"]]
+    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["rayknight"], ["tails"], ["stationary"], ["eta_chain"],
+             ["lclt"]]
     cases += [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     saved = {label: {} for label in trees}
@@ -328,6 +382,8 @@ def main(argv=None) -> int:
             "edge_hit_times": summary(samples[label]["edge"]),
             "batch_total_time": summary(samples[label]["rayknight"]),
             "batch_tail_events": summary(samples[label]["tails"]),
+            "stationary_and_table": summary(samples[label]["stationary"]),
+            "sample_eta_chain": summary(samples[label]["eta_chain"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
             "cli_lclt": summary(samples[label]["lclt"]),
         }
@@ -341,6 +397,8 @@ def main(argv=None) -> int:
                  "t_cap": EDGE_T_CAP, "threads": 1},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
+        "stationary": {"w": "exp:1", "window": list(ETA_WINDOW), "builds": ETA_BUILDS},
+        "eta_chain": {"w": "exp:1", "steps": ETA_CHAIN_STEPS, "start": 0},
         "cli_lclt": {"N": LCLT_N, "w": "exp:1"},
         "runs": runs,
         "dp_agreement": agreement,
@@ -357,6 +415,9 @@ def main(argv=None) -> int:
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
                  ("tails", "wall_s"): f"batch_tail_events_m{TAIL_M}_R{TAIL_REPLICAS}",
+                 ("stationary", "stationary_s"): "stationary_distribution",
+                 ("stationary", "table_s"): "marginal_law_table",
+                 ("eta_chain", "wall_s"): f"sample_eta_chain_T{ETA_CHAIN_STEPS}",
                  ("lclt", "wall_s"): f"cli_lclt_N{LCLT_N}",
                  **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
         # median of the parent's time (or RSS) over the change's, and each pair's own ratio

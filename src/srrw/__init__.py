@@ -31,7 +31,7 @@ from .eta import (
     sample_eta_chain,
     stationary_distribution,
 )
-from .scaling import ScalingParams, beta_n, scaling_params, theta, theta_positive
+from .scaling import ScalingParams, beta_n, scaling_params, theta
 from .rayknight import ProfileSample, RayKnightSampler
 from .lclt import (
     BivariatePMF,
@@ -39,11 +39,9 @@ from .lclt import (
     GaussianComparison,
     ZeroMassError,
     cond_sum_lclt_bound,
-    conditional_lclt_check,
     conditional_sup_error,
     convolution_lowerbound_check,
     exact_bivariate_pmf,
-    gaussian_bivariate_predicted,
     lclt_sup_error,
     stationary_step_law,
 )

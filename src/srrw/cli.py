@@ -19,7 +19,7 @@ from . import __version__
 from .errors import CampaignConfigError, InvalidWeightError, SrrwError
 from .eta import EtaKernel, stationary_distribution
 from .harness import CampaignConfig, _blocks, config_from_dict, run_campaign, substream
-from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, stationary_step_law
+from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, limit_exponent, limit_scale, stationary_step_law
 from .rayknight import RayKnightSampler
 from .reporting import RunManifest, code_version, dump_json, write_csv
 from .walk import range_extremes, simulate_walk
@@ -28,14 +28,14 @@ from .weights import WeightFunction
 USAGE_ERROR = 2
 TOLERANCE_ERROR = 1
 
-# per command, the range each argument must lie in; checked before anything is written
+# per command, the bounds each argument must satisfy; checked before anything is written
 ARG_RANGES = {
-    "simulate": {"steps": (">=", 0)},
-    "stationary": {"window": (">=", 1)},
-    "profile": {"x": ("<=", 0), "m": (">=", 1), "replicas": (">=", 1), "threads": (">=", 1)},
-    "lclt": {"N": (">=", 1), "box": (">", 0), "stride": (">=", 0)},
+    "simulate": [("steps", ">=", 0)],
+    "stationary": [("window", ">=", 1)],
+    "profile": [("x", "<=", 0), ("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1)],
+    "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf), ("stride", ">=", 0)],
 }
-_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt}
+_OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
 
 def _weight(text: str) -> WeightFunction:
@@ -152,7 +152,7 @@ def cmd_lclt(args) -> int:
     comparison = lclt_sup_error(pmf, u_max=args.box, v_max=args.box)
     cond_sup, cond_arg = conditional_sup_error(pmf)
     s2 = pmf.sigma2
-    scale = math.pi * s2 / math.sqrt(3.0) * args.N**2
+    scale = limit_scale(s2, args.N)
     # lclt_grid.csv rows as _fmt would write them: numpy does the float arithmetic in
     # the same order as Python, math.exp the exponential (np.exp may differ in the last ulp)
     lines = []
@@ -168,8 +168,7 @@ def cmd_lclt(args) -> int:
         keep = np.abs(v) <= args.box
         b, v = b[keep], v[keep]
         exact = pmf.arr[alo + ia, blo:bhi][::args.stride][keep]
-        q = (u * u + 3 * v * v - 3 * u * v) * 2.0 / s2
-        pred = [math.exp(-x) for x in q.tolist()]
+        pred = [math.exp(-x) for x in limit_exponent(u, v, s2).tolist()]
         err = np.abs(scale * exact - np.array(pred))
         lines += [f"{a!r},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r}\n"
                   for r in zip(b.tolist(), exact.tolist(), pred, err.tolist())]
@@ -301,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for name, (op, bound) in ARG_RANGES.get(args.command, {}).items():
+    for name, op, bound in ARG_RANGES.get(args.command, ()):
         if not _OPS[op](getattr(args, name), bound):  # a NaN --box fails too
             print(f"error: --{name} {getattr(args, name)} must be {op} {bound}", file=sys.stderr)
             return USAGE_ERROR

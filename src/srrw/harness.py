@@ -12,9 +12,10 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
 
 import numpy as np
@@ -36,6 +37,7 @@ KIND_INVERSE_TIME = 5
 KIND_WTERMS = 6
 
 DEFAULT_BLOCK = 65536
+RIEMANN_N, RIEMANN_K = 10_000, 6.0  # the inverse-time Riemann-sum identity: scale n, sum over |j| <= K sqrt(n)
 
 
 def substream(master_seed: int, *path: int) -> np.random.SeedSequence:
@@ -76,13 +78,6 @@ def load_expectations(path: str | None = None) -> dict:
         return json.load(fh)
 
 
-def growth_log2(m: float) -> float:
-    return math.log(m) ** 2
-
-
-GROWTH_FUNCTIONS = {"log2": growth_log2}
-
-
 def upper95(hits: int, n: int) -> float:
     """Clopper-Pearson 95% upper confidence bound for a binomial frequency."""
     if hits >= n:
@@ -91,6 +86,10 @@ def upper95(hits: int, n: int) -> float:
     from scipy.stats import beta
 
     return float(beta.ppf(0.95, hits + 1, n - hits))
+
+
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)  # JSON true is no count
 
 
 def _rate(hits, n: int):
@@ -133,6 +132,12 @@ class CampaignConfig:
     ladder = None  # the tuple field a campaign steps along; an empty one gives no evidence
 
     def __post_init__(self):
+        for f in fields(self):  # JSON gives any number; a float count would fail mid-run
+            v = getattr(self, f.name)
+            if f.type == "int" and not _integer(v):
+                raise CampaignConfigError(f"{self.kind}: {f.name}={v!r} must be an integer")
+            if f.type == "tuple[int, ...]" and not all(map(_integer, v)):
+                raise CampaignConfigError(f"{self.kind}: {f.name} entries must be integers")
         if self.ladder and not getattr(self, self.ladder):
             raise CampaignConfigError(f"{self.kind}: {self.ladder} is empty")
         if self.ladder and min(getattr(self, self.ladder)) < 1:
@@ -156,9 +161,8 @@ class CampaignConfig:
 class EndpointConfig(CampaignConfig):
     kind = "endpoint"
     ladder = "n_ladder"
-    n_ladder: tuple = (50, 100, 200)
+    n_ladder: tuple[int, ...] = (50, 100, 200)
     replicas: int = 100_000
-    budget_steps: int | None = None
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,6 @@ class LcltTableConfig(CampaignConfig):
     replicas: int = 1_000_000
     alpha: float = 0.6
     eps: float = 0.2
-    budget_steps: int | None = None
 
     def __post_init__(self):
         super().__post_init__()
@@ -185,7 +188,7 @@ class LcltTableConfig(CampaignConfig):
 class ProfileShapeConfig(CampaignConfig):
     kind = "profile_shape"
     ladder = "k_ladder"
-    k_ladder: tuple = (10_000, 40_000, 160_000)
+    k_ladder: tuple[int, ...] = (10_000, 40_000, 160_000)
     replicas: int = 200
 
 
@@ -193,18 +196,16 @@ class ProfileShapeConfig(CampaignConfig):
 class TailConfig(CampaignConfig):
     kind = "tails"
     ladder = "m_ladder"
-    m_ladder: tuple = (1_000, 10_000, 100_000)
-    replicas_per_m: tuple = (20_000, 20_000, 4_000)
-    growth: str = "log2"
+    m_ladder: tuple[int, ...] = (1_000, 10_000, 100_000)
+    replicas_per_m: tuple[int, ...] = (20_000, 20_000, 4_000)
     cross_m: int = 50
     cross_replicas: int = 4_000
 
     def __post_init__(self):
         super().__post_init__()
-        g = GROWTH_FUNCTIONS[self.growth]
         for m in self.m_ladder:
-            if tail_probe_site(m, g(m)) < 1:
-                raise CampaignConfigError(f"tails: m={m} is too small for the {self.growth} growth function")
+            if tail_probe_site(m, math.log(m) ** 2) < 1:
+                raise CampaignConfigError(f"tails: m={m} is too small for the log2 growth function")
         if len(self.replicas_per_m) != len(self.m_ladder):
             raise CampaignConfigError(
                 f"tails: replicas_per_m has {len(self.replicas_per_m)} entries for {len(self.m_ladder)} m_ladder points"
@@ -221,8 +222,6 @@ class InverseTimeConfig(CampaignConfig):
     c_targets: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
     replicas: int = 10_000_000
     cross_replicas: int = 1_000_000
-    riemann_n: int = 10_000
-    riemann_K: float = 6.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -243,7 +242,7 @@ class InverseTimeConfig(CampaignConfig):
 class WTermsConfig(CampaignConfig):
     kind = "wterms"
     ladder = "n_ladder"
-    n_ladder: tuple = (50, 100, 200)
+    n_ladder: tuple[int, ...] = (50, 100, 200)
     M: float = 1.0
     replicas: int = 20_000
 
@@ -291,27 +290,19 @@ def _campaign(kind: str):
 # -- endpoint law (diffusive limit) ---------------------------------------------
 
 
-def position_histogram(cfg, w: WeightFunction, steps: int, kind: int, point: int):
-    """Counts {x: replicas with X(steps) = x} for one campaign point.
-
-    Runs cfg.replicas walks, cut to fit cfg.budget_steps replica-steps;
-    block b draws from substream (kind, point, b).  Returns (counts,
-    replicas run, whether the budget cut them).
-    """
-    replicas = cfg.replicas
-    partial = bool(cfg.budget_steps and steps * replicas > cfg.budget_steps)
-    if partial:
-        replicas = max(cfg.budget_steps // steps, 1)
+def position_histogram(cfg, w: WeightFunction, steps: int, kind: int, point: int) -> dict:
+    """Counts {x: replicas with X(steps) = x} over cfg.replicas walks for one
+    campaign point; block b draws from substream (kind, point, b)."""
 
     def block(count, seed):
         pos, _, _ = vw.final_positions(w, steps, count, seed)
         return np.unique(pos, return_counts=True)
 
     counter: dict = {}
-    for vals, cnts in _blocks(cfg, replicas, (kind, point), block):
+    for vals, cnts in _blocks(cfg, cfg.replicas, (kind, point), block):
         for v, c in zip(vals.tolist(), cnts.tolist()):
             counter[v] = counter.get(v, 0) + c
-    return counter, replicas, partial
+    return counter
 
 
 @_campaign("endpoint")
@@ -321,17 +312,16 @@ def endpoint_law(cfg: EndpointConfig):
     w = cfg.weight_fn()
     rows, hist_rows, checks = [], [], []
     ks_values = []
-    total = 0
+    replicas = cfg.replicas
     for ip, n in enumerate(cfg.n_ladder):
-        counter, replicas, partial = position_histogram(cfg, w, n * n, KIND_ENDPOINT, ip)
-        total += replicas
+        counter = position_histogram(cfg, w, n * n, KIND_ENDPOINT, ip)
         values = np.array(sorted(counter))
         counts = np.array([counter[v] for v in values.tolist()], dtype=np.int64)
         ks = ks_vs_uniform(values, counts, float(n))
         mean = float((values * counts).sum()) / replicas / n
         var = float((values**2 * counts).sum()) / replicas / n**2 - mean**2
         se_mean = math.sqrt(max(var, 0.0) / replicas)
-        rows.append({"n": n, "replicas": replicas, "ks": ks, "mean_scaled": mean, "se_mean": se_mean, "partial": partial})
+        rows.append({"n": n, "replicas": replicas, "ks": ks, "mean_scaled": mean, "se_mean": se_mean})
         for v, c in zip(values.tolist(), counts.tolist()):
             hist_rows.append({"n": n, "x": v, "count": c})
         ks_values.append(ks)
@@ -342,7 +332,7 @@ def endpoint_law(cfg: EndpointConfig):
             checks.append(CheckResult(f"endpoint_ks_n{n}", ks < band, f"ks {ks:.4f} < {band}"))
     if len(ks_values) > 1:
         checks.append(_monotone("endpoint_ks_monotone", ks_values, True, f"ks ladder {ks_values}"))
-    return {"endpoint": rows, "endpoint_hist": hist_rows}, checks, total
+    return {"endpoint": rows, "endpoint_hist": hist_rows}, checks, replicas * len(cfg.n_ladder)
 
 
 # -- pointwise lower bound table -------------------------------------------------
@@ -353,7 +343,8 @@ def local_clt_table(cfg: LcltTableConfig):
     """n * P(X(n^2) = x) over the admissible parity grid, with flags."""
     w = cfg.weight_fn()
     n = cfg.n
-    counter, replicas, partial = position_histogram(cfg, w, n * n, KIND_LCLT_TABLE, 0)
+    replicas = cfg.replicas
+    counter = position_histogram(cfg, w, n * n, KIND_LCLT_TABLE, 0)
 
     grid = cfg.grid()
     observed_max = max(abs(v) for v in counter) if counter else 0
@@ -381,8 +372,6 @@ def local_clt_table(cfg: LcltTableConfig):
         CheckResult("lclt_table_lower_bound", not low_cells,
                     f"{len(low_cells)} cells below {1 - cfg.eps} (e.g. {low_cells[:5]}); undersampled {undersampled}"),
     ]
-    if partial:
-        checks.append(CheckResult("lclt_table_partial", False, "budget truncated the replica count"))
     return {"lclt_table": rows}, checks, replicas
 
 
@@ -426,13 +415,12 @@ def tail_bounds_suite(cfg: TailConfig):
     via the profile sampler, plus a walk-vs-sampler cross statistic."""
     exp = load_expectations()
     w = cfg.weight_fn()
-    g = GROWTH_FUNCTIONS[cfg.growth]
     sampler = RayKnightSampler(w)
     rows, checks = [], []
     freqs: dict = {"rho": [], "lam": [], "l_gt": [], "l_lt": []}
     total = 0
     for ip, (m, reps) in enumerate(zip(cfg.m_ladder, cfg.replicas_per_m)):
-        g_m = g(m)
+        g_m = math.log(m) ** 2
         thresholds = {
             "rho": math.ceil(2 * m + math.sqrt(m) * g_m),
             "lam": -math.ceil(2 * m + math.sqrt(m) * g_m),
@@ -498,12 +486,12 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig):
     rows, checks = [], []
 
     # Riemann-sum identity (no simulation)
-    rn = cfg.riemann_n
-    bn_r = beta_n_formula(rn, 0, s2)
-    js = np.arange(-int(cfg.riemann_K * math.sqrt(rn)), int(cfg.riemann_K * math.sqrt(rn)) + 1)
-    riemann = float(np.sqrt(4.0 / (bn_r * math.pi * rn)) * np.exp(-4.0 * js**2 / (bn_r * rn)).sum())
+    bn_r = beta_n_formula(RIEMANN_N, 0, s2)
+    j_max = int(RIEMANN_K * math.sqrt(RIEMANN_N))
+    js = np.arange(-j_max, j_max + 1)
+    riemann = float(np.sqrt(4.0 / (bn_r * math.pi * RIEMANN_N)) * np.exp(-4.0 * js**2 / (bn_r * RIEMANN_N)).sum())
     tables = {"inverse_time": rows,
-              "riemann": [{"n": rn, "x": 0, "K": cfg.riemann_K, "value": riemann, "abs_error": abs(riemann - 1.0)}]}
+              "riemann": [{"n": RIEMANN_N, "x": 0, "K": RIEMANN_K, "value": riemann, "abs_error": abs(riemann - 1.0)}]}
     checks.append(CheckResult("riemann_identity", abs(riemann - 1.0) < 0.01, f"sum {riemann:.6f}"))
 
     target_T = n * n

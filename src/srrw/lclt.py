@@ -327,17 +327,21 @@ def exact_bivariate_pmf(
 # -- Gaussian comparison ------------------------------------------------------
 
 
-def gaussian_bivariate_predicted(sigma2: float, n_x: float, a: float, b: float, plus_cross_sign: bool = False) -> float:
-    """Limit density value for P(Y = a, S = b) at scale n_x.
+def limit_exponent(u, v, sigma2: float, plus_cross_sign: bool = False):
+    """q at (u, v) = (a/sqrt(N), b/N^{3/2}) of the limit density exp(-q) of
+    the scaled law: (u^2 + 3v^2 - 3uv) * 2/sigma^2.
 
-    plus_cross_sign=True evaluates the +3ab variant (wrong sign, kept only
+    plus_cross_sign=True evaluates the +3uv variant (wrong sign, kept only
     for the regression test that it fails to converge).
     """
-    if n_x <= 0 or sigma2 <= 0:
-        raise ValueError("n_x and sigma2 must be positive")
     sgn = 1.0 if plus_cross_sign else -1.0
-    q = (a * a / n_x + 3.0 * b * b / n_x**3 + sgn * 3.0 * a * b / n_x**2) * 2.0 / sigma2
-    return math.sqrt(12.0) / (2.0 * math.pi * sigma2 * n_x**2) * math.exp(-q)
+    return (u * u + 3.0 * v * v + sgn * 3.0 * u * v) * 2.0 / sigma2
+
+
+def limit_scale(sigma2: float, N: int) -> float:
+    """pi sigma^2 N^2/sqrt(3): the factor that takes P(Y = a, S = b) to the
+    limit density exp(-limit_exponent) at N steps."""
+    return math.pi * sigma2 / math.sqrt(3.0) * N * N
 
 
 @dataclass
@@ -388,10 +392,9 @@ def lclt_sup_error(
     """
     N = pmf.N
     s2 = pmf.sigma2
-    scale = math.pi * s2 / math.sqrt(3.0) * N * N
+    scale = limit_scale(s2, N)
     sqn = math.sqrt(N)
     n32 = N ** 1.5
-    sgn = 1.0 if plus_cross_sign else -1.0
     a_all = pmf.a_values()
     bt_all = pmf.bt_values()
     alo, ahi, blo, bhi = pmf.box
@@ -414,8 +417,7 @@ def lclt_sup_error(
         ib = np.round(b_vals - pmf.c * a - 0.5 * pmf.par_b).astype(np.int64) + pmf.center_b
         inside = (ib >= blo) & (ib < bhi)
         exact[inside] = pmf.arr[alo + ia, ib[inside]]
-        q = (u * u + 3.0 * v * v + sgn * 3.0 * u * v) * 2.0 / s2
-        err = np.abs(scale * exact - np.exp(-q))
+        err = np.abs(scale * exact - np.exp(-limit_exponent(u, v, s2, plus_cross_sign)))
         count += len(err)
         near += _near_row_max(a, b_vals, err)
     sup, arg = _sup_and_argmax(near)
@@ -428,24 +430,6 @@ def lclt_sup_error(
         n_points=count,
         truncated_mass=pmf.truncated_mass,
     )
-
-
-def conditional_predicted(sigma2: float, n_x: float, a: float, b: float) -> float:
-    """Limit value of (sqrt(2 pi)/sqrt(12)) sigma n_x^{3/2} P(S = b | Y = a)."""
-    arg = a / (2.0 * math.sqrt(n_x)) - b / n_x**1.5
-    return math.exp(-(6.0 / sigma2) * arg * arg)
-
-
-def conditional_lclt_check(pmf: BivariatePMF, a: float, b: float):
-    """(exact conditional P(S=b | Y=a), predicted conditional probability)."""
-    b_vals, probs = pmf.conditional_given_y(a)
-    i = int(round(b - b_vals[0]))
-    exact = float(probs[i]) if 0 <= i < len(probs) else 0.0
-    s = math.sqrt(pmf.sigma2)
-    pred = conditional_predicted(pmf.sigma2, pmf.N, a, b) * math.sqrt(12.0) / (
-        math.sqrt(2.0 * math.pi) * s * pmf.N**1.5
-    )
-    return exact, pred
 
 
 def conditional_sup_error(pmf: BivariatePMF, a_max: float | None = None, b_max: float | None = None):

@@ -20,7 +20,7 @@ SCHEMA_RESULTS = "srrw.results/1"
 
 # fixed column order per table; schema version SCHEMA_RESULTS
 TABLE_COLUMNS = {
-    "endpoint": ["n", "replicas", "ks", "mean_scaled", "se_mean", "partial"],
+    "endpoint": ["n", "replicas", "ks", "mean_scaled", "se_mean"],
     "endpoint_hist": ["n", "x", "count"],
     "lclt_table": ["n", "x", "hits", "n_phat", "se", "flag"],
     "profile_shape": ["k", "replicas", "median_dev", "p95_dev"],

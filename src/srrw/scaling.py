@@ -19,11 +19,6 @@ def theta(u: float, v: float) -> float:
     return 0.5 * u * (1.0 - abs(v) / u)
 
 
-def theta_positive(u: float, v: float) -> float:
-    """Positive part of theta; the profile vanishes outside |v| <= u."""
-    return max(theta(u, v), 0.0)
-
-
 def beta_n(n: float, x: float, sigma2: float) -> float:
     if n <= 0:
         raise ValueError("n must be > 0")

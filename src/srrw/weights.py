@@ -9,13 +9,14 @@ and explicit table.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationRangeError, InvalidWeightError
 
 _EXP_ARG_MAX = 700.0  # exp overflow guard for float64
+VALIDATE_WINDOW = 64  # |z| range on which a new weight is validated
 
 
 @dataclass(frozen=True)
@@ -31,12 +32,11 @@ class WeightFunction:
 
     family: str
     params: tuple
-    validate_window: int = field(default=64, compare=False)
 
     def __post_init__(self):
         if self.family not in ("exponential", "linear_ramp", "table"):
             raise InvalidWeightError(f"unknown weight family {self.family!r}")
-        self.validate(self.validate_window)
+        self.validate(VALIDATE_WINDOW)
 
     # -- evaluation ---------------------------------------------------------
 

@@ -189,6 +189,12 @@ def test_console_entry_point():
     ("inverse-time", "n=0", "inverse_time: n=0 must be >= 1"),
     ("endpoint", "n_ladder=[0, 8]", "endpoint: n_ladder entries must be >= 1"),
     ("tails", "replicas_per_m=[20,0,4]", "tails: replicas_per_m entries must be >= 1"),
+    # non-integer counts, which would fail mid-run
+    ("endpoint", "n_ladder=[2.5]", "endpoint: n_ladder entries must be integers"),
+    ("endpoint", "replicas=100.5", "endpoint: replicas=100.5 must be an integer"),
+    ("tails", "cross_replicas=10.5", "tails: cross_replicas=10.5 must be an integer"),
+    ("endpoint", "replicas=true", "endpoint: replicas=True must be an integer"),
+    ("tails", "replicas_per_m=[20,true,4]", "tails: replicas_per_m entries must be integers"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"
@@ -211,6 +217,7 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     (["stationary", "--w", "exp:1", "--window", "-5"], "--window -5 must be >= 1"),
     (["campaign", "--kind", "endpoint", "--replicas", "10", "--param", "n_ladder=[4]", "--threads", "-3"],
      "threads=-3 must be >= 1"),
+    (["lclt", "--box", "inf"], "--box inf must be < inf"),
 ])
 def test_bad_argument_writes_nothing(tmp_path, capsys, argv, message):
     # refused before the manifest is written, not by a traceback or an empty run mid-way

@@ -57,14 +57,6 @@ def test_endpoint_n1_trivial():
     assert abs(row["mean_scaled"]) <= 3 * row["se_mean"] + 1e-12
 
 
-def test_endpoint_budget_flag():
-    cfg = EndpointConfig(master_seed=3, n_ladder=(10,), replicas=5000, budget_steps=100 * 1000)
-    rep = endpoint_law(cfg)
-    row = rep.tables["endpoint"][0]
-    assert row["partial"] is True
-    assert row["replicas"] == 1000
-
-
 def test_local_clt_table_smoke():
     cfg = LcltTableConfig(master_seed=5, n=12, replicas=30_000, alpha=0.6)
     rep = local_clt_table(cfg)

@@ -10,17 +10,15 @@ from srrw import (
     SupportBudgetError,
     ZeroMassError,
     cond_sum_lclt_bound,
-    conditional_lclt_check,
     conditional_sup_error,
     convolution_lowerbound_check,
     exact_bivariate_pmf,
-    gaussian_bivariate_predicted,
     lclt_sup_error,
     scaling_params,
     stationary_step_law,
 )
 from srrw.eta import Lattice1DDistribution
-from srrw.lclt import _CLIP_SLACK, DEFAULT_SD_CAP, BivariatePMF
+from srrw.lclt import _CLIP_SLACK, DEFAULT_SD_CAP, BivariatePMF, limit_exponent, limit_scale
 
 
 @pytest.fixture(scope="module")
@@ -250,15 +248,17 @@ def test_dp_matches_reference(request, law_name, N, sd_cap):
 
 
 def test_gaussian_predicted_center():
-    val = gaussian_bivariate_predicted(0.5, 100.0, 0.0, 0.0)
-    assert val == pytest.approx(math.sqrt(12.0) / (2 * math.pi * 0.5 * 100.0**2), rel=1e-12)
+    # the limit density at the centre, sqrt(12)/(2 pi sigma^2 N^2)
+    assert limit_exponent(0.0, 0.0, 0.5) == 0.0
+    assert 1.0 / limit_scale(0.5, 100) == pytest.approx(math.sqrt(12.0) / (2 * math.pi * 0.5 * 100.0**2), rel=1e-12)
 
 
 def test_gaussian_predicted_quadratic_decay():
-    s2, nx = 0.5, 100.0
-    base = gaussian_bivariate_predicted(s2, nx, 0.0, 0.0)
-    val = gaussian_bivariate_predicted(s2, nx, math.sqrt(nx), 0.0)
-    assert val == pytest.approx(base * math.exp(-2.0 / s2), rel=1e-12)
+    s2 = 0.5
+    assert limit_exponent(1.0, 0.0, s2) == pytest.approx(2.0 / s2, rel=1e-12)
+    # the cross term: -3uv, and +3uv behind the regression-guard flag
+    assert limit_exponent(1.0, 1.0, s2) == pytest.approx(2.0 / s2, rel=1e-12)
+    assert limit_exponent(1.0, 1.0, s2, plus_cross_sign=True) == pytest.approx(14.0 / s2, rel=1e-12)
 
 
 def test_cross_term_sign_from_covariance():
@@ -314,10 +314,9 @@ def test_conditional_peak_at_center(pmf100):
     peak_b = b_vals[int(np.argmax(probs))]
     # predicted conditional at a=0 is maximized at b=0
     assert abs(peak_b) <= 60.0
-    exact0, pred0 = conditional_lclt_check(pmf100, 0.0, 0.0)
-    exact_far, pred_far = conditional_lclt_check(pmf100, 0.0, 600.0)
-    assert pred0 > pred_far
-    assert exact0 > exact_far
+    # P(S = b | Y = 0) at the lattice points nearest b = 0 and b = 600
+    exact0, exact_far = (probs[int(round(b - b_vals[0]))] for b in (0.0, 600.0))
+    assert exact0 > exact_far > 0
 
 
 def test_conditional_sup_error_scale(pmf100):

@@ -47,9 +47,9 @@ CASES = {
 
 PINNED = {
     "endpoint": {
-        "endpoint.csv": "a204e018b0f7d3ff1245006297b4f442b5f7d4e3104c42ccf7427e67c8b46b53",
+        "endpoint.csv": "6f3ee5830ec2fc2a33589699696aa209a03e9e1cc55d3b565a7bf3e5bfed42e5",
         "endpoint_hist.csv": "c830d4827183f7f3a84ca2925e6bf9d0d558b0ce00f2dbbd925bfd6b7c4a13b7",
-        "results.json": "680f1a95dd12e24fca07d4f82135a40136a1b49b0cf2e9fecee31074288dea0a",
+        "results.json": "9402aec2898848747a4c405fa8d1f7f364f53ad9aa778e647dab6d59c436ae5c",
     },
     "inverse-time": {
         "m": [3, 4, 7],
@@ -58,7 +58,7 @@ PINNED = {
     },
     "lclt-table": {
         "lclt_table.csv": "cef0ac0356a889cca3c37b228b45a56fae6b0e993b356881a6f537c62f7d0819",
-        "results.json": "24f495e0cac54e0bdcab84378770568e885b6d6dc154da4d0ea365b146600a2f",
+        "results.json": "f9eac5d761ea1b9ab8ad3223bc2ace73b3504e1b7816f7256c8031caaf0aeb4b",
     },
     "profile": {
         "profile.csv": "5c0a3e8c9d1b9d312a387b647782dd1838dba2d99a0b2903e0299ec7832a71a2",
@@ -72,7 +72,7 @@ PINNED = {
         "walk_summary.csv": "d4c8bd0ca108aa0ca3811225d5c3be41673b7890f60841266e9eb3b427d97890",
     },
     "tails": {
-        "results.json": "7fdffef5b036890032b55dfeb93af36a2f221692397a2a754255a67da2201578",
+        "results.json": "d43f4b1a1f98b8d0e2b116ca5de0ad760510ece076b0b595c6f4325052d10989",
         "tail_cross.csv": "608919f37f60c31b33af7c822df4230111ead3b8abf3639ae1a709159ef4e16c",
         "tails.csv": "1257b65915924fb06c95d3522a11c2750e35658ef1355b5a81278b5a1c5c0ced",
     },

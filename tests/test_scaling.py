@@ -4,18 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srrw import beta_n, scaling_params, theta, theta_positive
+from srrw import beta_n, scaling_params, theta
 
 
 def test_theta_values():
     assert theta(4.0, 2.0) == 1.0
     assert theta(10.0, 0.0) == 5.0
     assert theta(2.0, -1.0) == 0.5
-
-
-def test_theta_positive_clamps():
-    assert theta(2.0, 6.0) < 0
-    assert theta_positive(2.0, 6.0) == 0.0
 
 
 def test_beta_endpoints():

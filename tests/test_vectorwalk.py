@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from srrw import eta_kernel_row, simulate_walk
+from srrw import WeightFunction, eta_kernel_row, simulate_walk
 from srrw import vectorwalk as vw
 from srrw.cli import main
 from srrw.enumeration import exact_position_law
@@ -58,6 +60,20 @@ def test_two_engines_agree(w_exp):
     scalar = np.array([simulate_walk(w_exp, 8, seed=100_000 + i).positions[-1] for i in range(8000)])
     p_scalar = lumped_chisquare_p(empirical_counts(scalar), law, 8000)
     assert p_batch > 0.001 and p_scalar > 0.001
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=st.sampled_from(["exp:1.0", "exp:0.3", "ramp:1.0:1.0"]), seed=st.integers(0, 2**32 - 1),
+       steps=st.one_of(st.sampled_from([0, vw.TILE - 1, vw.TILE, vw.TILE + 1]), st.integers(0, 400)))
+def test_one_replica_matches_scalar_walk(spec, seed, steps):
+    # one lockstep replica reads the scalar walk's uniforms in the same order, so the two agree exactly
+    w = WeightFunction.parse(spec)
+    pos, lp, site_lo = vw.final_positions(w, steps, 1, seed, want_lplus=True)
+    t = simulate_walk(w, steps, seed)
+    assert pos[0] == t.positions[-1]
+    sites = range(site_lo, site_lo + lp.shape[1])
+    assert set(t.localtimes.visited_sites()) <= set(sites)
+    assert lp[0].tolist() == [t.localtimes.l_plus(x) for x in sites]
 
 
 def test_lplus_tracking(w_exp):
