@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .errors import CampaignConfigError, InvalidWeightError, SrrwError
 from .eta import EtaKernel, stationary_distribution
-from .harness import CampaignConfig, _blocks, config_from_dict, run_campaign, substream
+from .harness import CONFIG_KINDS, DEFAULT_BLOCK, config_from_dict, map_blocks, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, limit_exponent, limit_scale, stationary_step_law
 from .rayknight import RayKnightSampler
 from .reporting import RunManifest, code_version, dump_json, write_csv
@@ -30,9 +30,9 @@ TOLERANCE_ERROR = 1
 
 # per command, the bounds each argument must satisfy; checked before anything is written
 ARG_RANGES = {
-    "simulate": [("steps", ">=", 0)],
+    "simulate": [("steps", ">=", 0), ("seed", ">=", 0)],
     "stationary": [("window", ">=", 1)],
-    "profile": [("x", "<=", 0), ("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1)],
+    "profile": [("x", "<=", 0), ("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1), ("seed", ">=", 0)],
     "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf), ("stride", ">=", 0)],
 }
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
@@ -120,12 +120,11 @@ def cmd_profile(args) -> int:
     sampler = RayKnightSampler(args.w)
     y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
 
-    def block(count, seed):
-        return sampler.batch_profile_window(args.x, args.m, count, seed, y_lo, y_hi)
+    def block(b, count):
+        return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
 
     out = {}
-    blocks = CampaignConfig(master_seed=args.seed, threads=args.threads)  # default block size
-    for got in _blocks(blocks, args.replicas, (1,), block):
+    for got in map_blocks(args.replicas, DEFAULT_BLOCK, args.threads, block):
         for y, vals in got.items():
             out.setdefault(y, []).append(vals)
     rows = []
@@ -194,46 +193,25 @@ def cmd_lclt(args) -> int:
 
 
 def cmd_campaign(args) -> int:
-    if args.manifest:
+    # one merge for a fresh run and a re-run: the --manifest or --config object, then the flags
+    flag, path = ("--manifest", args.manifest) if args.manifest else ("--config", args.config)
+    cfg_dict = {}
+    if path:
         try:
-            cfg_dict = dict(RunManifest.load(args.manifest).config)
+            loaded = RunManifest.load(path).config if args.manifest else json.loads(Path(path).read_text())
+            cfg_dict = {**loaded}  # a TypeError unless it is a JSON object
         except (OSError, ValueError, TypeError) as exc:
-            raise CampaignConfigError(f"cannot read --manifest {args.manifest!r}: {exc}") from exc
-        if args.threads is not None:
-            cfg_dict["threads"] = args.threads
-    else:
-        if args.kind is None:
-            print("campaign requires --kind or --manifest", file=sys.stderr)
-            return USAGE_ERROR
-        cfg_dict = {}
-        if args.config:
-            try:
-                with open(args.config) as fh:
-                    cfg_dict.update(json.load(fh))
-            except (OSError, ValueError, TypeError) as exc:
-                raise CampaignConfigError(f"cannot read --config {args.config!r}: {exc}") from exc
-        cfg_dict["kind"] = args.kind.replace("-", "_")
-        if args.w is not None:
-            cfg_dict["weight"] = args.w.spec()
-        if args.seed is not None:
-            cfg_dict["master_seed"] = args.seed
-        if args.threads is not None:
-            cfg_dict["threads"] = args.threads
-        if args.replicas is not None:
-            cfg_dict["replicas"] = args.replicas
-        if args.param:
-            for kv in args.param:
-                key, _, val = kv.partition("=")
-                try:
-                    cfg_dict[key] = json.loads(val)
-                except json.JSONDecodeError as exc:
-                    print(f"error: --param {kv!r} is not KEY=JSON: {exc}", file=sys.stderr)
-                    return USAGE_ERROR
-    try:
-        cfg = config_from_dict(cfg_dict)
-    except (KeyError, TypeError) as exc:
-        print(f"bad campaign config: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+            raise CampaignConfigError(f"cannot read {flag} {path!r}: {exc}") from exc
+    overrides = {"kind": args.kind and args.kind.replace("-", "_"), "weight": args.w and args.w.spec(),
+                 "master_seed": args.seed, "threads": args.threads, "replicas": args.replicas}
+    cfg_dict.update((key, val) for key, val in overrides.items() if val is not None)
+    for kv in args.param or ():
+        key, _, val = kv.partition("=")
+        try:
+            cfg_dict[key] = json.loads(val)
+        except json.JSONDecodeError as exc:
+            raise CampaignConfigError(f"--param {kv!r} is not KEY=JSON: {exc}") from exc
+    cfg = config_from_dict(cfg_dict)
     outdir = _start(args, cfg.to_dict(), cfg.master_seed)
     report = run_campaign(cfg)
     _finish(args, report.write_outputs(outdir))
@@ -283,16 +261,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_lclt)
 
     sp = sub.add_parser("campaign", help="run a Monte Carlo verification campaign")
-    sp.add_argument("--kind", choices=["endpoint", "lclt-table", "profile-shape", "tails", "inverse-time", "wterms"],
-                    default=None)
+    sp.add_argument("--kind", choices=[kind.replace("_", "-") for kind in CONFIG_KINDS], default=None)
     sp.add_argument("--w", type=_weight, default=None)
     sp.add_argument("--replicas", type=int, default=None)
-    sp.add_argument("--config", default=None, help="JSON config file (flags win)")
-    sp.add_argument("--manifest", default=None, help="re-run a previous campaign manifest")
+    base = sp.add_mutually_exclusive_group()
+    base.add_argument("--config", default=None, help="JSON config file (flags win)")
+    base.add_argument("--manifest", default=None, help="re-run a previous campaign manifest (flags win)")
     sp.add_argument("--param", action="append", default=None, metavar="KEY=JSON",
                     help="extra config field, e.g. --param n_ladder=[50,100]")
     sp.add_argument("--threads", type=int, default=None, help="worker threads (default: the config's)")
-    common(sp)
+    common(sp, seed_default=None)  # default: the config's
     sp.set_defaults(func=cmd_campaign)
     return p
 

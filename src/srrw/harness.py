@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import numbers
-import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from importlib import resources
@@ -21,7 +21,7 @@ from importlib import resources
 import numpy as np
 
 from . import vectorwalk as vw
-from .errors import CampaignConfigError
+from .errors import CampaignConfigError, SrrwError
 from .rayknight import RayKnightSampler, tail_probe_site
 from .reporting import CheckResult, StatsReport, Stopwatch
 from .scaling import beta_n as beta_n_formula
@@ -68,12 +68,8 @@ def _blocks(cfg, replicas: int, path: tuple, fn):
                       lambda b, count: fn(count, substream(cfg.master_seed, *path, b)))
 
 
-def load_expectations(path: str | None = None) -> dict:
-    """Pilot-calibrated tolerance bands; SRRW_EXPECTATIONS overrides the path."""
-    path = path or os.environ.get("SRRW_EXPECTATIONS")
-    if path:
-        with open(path) as fh:
-            return json.load(fh)
+def load_expectations() -> dict:
+    """Pilot-calibrated tolerance bands, from the packaged expectations.json."""
     with resources.files("srrw").joinpath("expectations.json").open() as fh:
         return json.load(fh)
 
@@ -90,6 +86,11 @@ def upper95(hits: int, n: int) -> float:
 
 def _integer(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)  # JSON true is no count
+
+
+def _finite(v) -> bool:
+    # NaN fails the comparison; math.isfinite would raise on an int past the float range
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def _rate(hits, n: int):
@@ -132,12 +133,22 @@ class CampaignConfig:
     ladder = None  # the tuple field a campaign steps along; an empty one gives no evidence
 
     def __post_init__(self):
-        for f in fields(self):  # JSON gives any number; a float count would fail mid-run
+        for f in fields(self):  # JSON gives any value; a wrong one would fail mid-run
             v = getattr(self, f.name)
+            if f.type.startswith("tuple") and not isinstance(v, tuple):
+                raise CampaignConfigError(f"{self.kind}: {f.name}={v!r} must be a list")
             if f.type == "int" and not _integer(v):
                 raise CampaignConfigError(f"{self.kind}: {f.name}={v!r} must be an integer")
+            if f.type == "float" and not _finite(v):
+                raise CampaignConfigError(f"{self.kind}: {f.name}={v!r} must be a finite number")
             if f.type == "tuple[int, ...]" and not all(map(_integer, v)):
                 raise CampaignConfigError(f"{self.kind}: {f.name} entries must be integers")
+            if f.type == "tuple[float, ...]" and not all(map(_finite, v)):
+                raise CampaignConfigError(f"{self.kind}: {f.name} entries must be finite numbers")
+        try:
+            self.weight_fn()
+        except (SrrwError, LookupError, TypeError, ValueError) as exc:
+            raise CampaignConfigError(f"{self.kind}: weight={self.weight!r} is not a weight spec: {exc}") from exc
         if self.ladder and not getattr(self, self.ladder):
             raise CampaignConfigError(f"{self.kind}: {self.ladder} is empty")
         if self.ladder and min(getattr(self, self.ladder)) < 1:
@@ -147,6 +158,8 @@ class CampaignConfig:
         if self.block_size < 1 or self.threads < 1:
             raise CampaignConfigError(
                 f"{self.kind}: block_size={self.block_size} and threads={self.threads} must be >= 1")
+        if self.master_seed < 0:
+            raise CampaignConfigError(f"{self.kind}: master_seed={self.master_seed} must be >= 0")
 
     def weight_fn(self) -> WeightFunction:
         return WeightFunction.from_spec(self.weight)
@@ -219,7 +232,7 @@ class InverseTimeConfig(CampaignConfig):
     kind = "inverse_time"
     n: int = 24
     x: int = 0
-    c_targets: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
+    c_targets: tuple[float, ...] = (-1.0, -0.5, 0.0, 0.5, 1.0)
     replicas: int = 10_000_000
     cross_replicas: int = 1_000_000
 
@@ -258,8 +271,15 @@ CONFIG_KINDS = {
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
+    """The config of the kind d names, from d's other keys: each must be a field of it."""
     d = {k: tuple(v) if isinstance(v, list) else v for k, v in d.items()}
-    return CONFIG_KINDS[d.pop("kind")](**d)
+    kind = d.pop("kind", None)
+    if not isinstance(kind, str) or kind not in CONFIG_KINDS:
+        raise CampaignConfigError(f"campaign kind={kind!r} is not one of {', '.join(CONFIG_KINDS)}")
+    unknown = sorted(set(d) - {f.name for f in fields(CONFIG_KINDS[kind])})
+    if unknown:
+        raise CampaignConfigError(f"{kind}: {', '.join(unknown)} is not a field of the {kind} config")
+    return CONFIG_KINDS[kind](**d)
 
 
 _RUNNERS: dict = {}

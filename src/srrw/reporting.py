@@ -47,11 +47,9 @@ def _fmt(v) -> str:
 
 
 def write_csv(path, table_name: str, rows) -> None:
-    """Write a table: rows are dicts keyed by column, or, for a table of
-    TABLE_COLUMNS, one str of lines already formatted the way _fmt would."""
-    cols = TABLE_COLUMNS.get(table_name)
-    if cols is None:
-        cols = sorted(rows[0].keys()) if rows else []
+    """Write a table of TABLE_COLUMNS: rows are dicts keyed by column, or one
+    str of lines already formatted the way _fmt would."""
+    cols = TABLE_COLUMNS[table_name]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(cols)

@@ -10,6 +10,14 @@ import pytest
 
 import srrw
 from srrw.cli import main
+from srrw.reporting import RunManifest
+
+# the tails config as versions with a configurable growth function wrote it
+TAILS_WITH_GROWTH = json.dumps({
+    "kind": "tails", "weight": {"family": "exponential", "rate": 1.0}, "master_seed": 1, "threads": 1,
+    "block_size": 65536, "m_ladder": [1000], "replicas_per_m": [20], "cross_m": 50, "cross_replicas": 40,
+    "growth": "log2",
+})
 
 
 def run_cli(args):
@@ -158,6 +166,28 @@ def test_campaign_requires_kind_or_manifest(tmp_path):
     assert run_cli(["campaign", "--out", str(tmp_path / "x")]) == 2
 
 
+def test_manifest_rerun_applies_flags(tmp_path):
+    # a re-run merges its flags over the manifest's config as a fresh run merges them over --config
+    out1, out2 = tmp_path / "c1", tmp_path / "c2"
+    assert run_cli(["campaign", "--kind", "profile-shape", "--seed", "21", "--replicas", "10",
+                    "--param", "k_ladder=[400,1600]", "--out", str(out1)]) in (0, 1)
+    assert run_cli(["campaign", "--manifest", str(out1 / "manifest.json"), "--seed", "999",
+                    "--param", "k_ladder=[400]", "--out", str(out2)]) in (0, 1)
+    config = json.loads((out2 / "manifest.json").read_text())["config"]
+    assert config["master_seed"] == 999 and config["k_ladder"] == [400] and config["replicas"] == 10
+    assert json.loads((out2 / "results.json").read_text())["config"] == config
+
+
+def test_manifest_and_config_exclude_each_other(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text("{}")
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["campaign", "--manifest", str(path), "--config", str(path), "--out", str(tmp_path / "c")])
+    assert ei.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
 def test_cli_import_skips_scipy():
     # scipy.stats costs most of a second to import; only tail bounds need it
     code = "import sys, srrw.cli; sys.exit('scipy' in sys.modules)"
@@ -195,10 +225,29 @@ def test_console_entry_point():
     ("tails", "cross_replicas=10.5", "tails: cross_replicas=10.5 must be an integer"),
     ("endpoint", "replicas=true", "endpoint: replicas=True must be an integer"),
     ("tails", "replicas_per_m=[20,true,4]", "tails: replicas_per_m entries must be integers"),
+    # a key that is no field of the config, and a manifest naming no kind or a removed field
+    ("endpoint", "bogus=1", "endpoint: bogus is not a field of the endpoint config"),
+    pytest.param("--manifest", '{"n_ladder": [4], "replicas": 10}', "campaign kind=None is not one of",
+                 id="manifest-no-kind"),
+    pytest.param("--manifest", TAILS_WITH_GROWTH, "tails: growth is not a field of the tails config",
+                 id="manifest-tails-growth"),
+    # values that would end in a traceback once the run started
+    ("endpoint", "n_ladder=5", "endpoint: n_ladder=5 must be a list"),
+    ("lclt-table", 'alpha="x"', "lclt_table: alpha='x' must be a finite number"),
+    ("inverse-time", "c_targets=[0.0,NaN]", "inverse_time: c_targets entries must be finite numbers"),
+    pytest.param("wterms", "M=1" + "0" * 400, "must be a finite number", id="wterms-M=10**400"),
+    ("endpoint", 'weight={"family":"exponential"}', "endpoint: weight={'family': 'exponential'} is not a weight"),
+    ("wterms", "master_seed=-1", "wterms: master_seed=-1 must be >= 0"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"
-    assert run_cli(["campaign", "--kind", kind, "--param", param, "--out", str(out)]) == 2
+    if kind == "--manifest":  # param is the config of the manifest re-run
+        manifest = tmp_path / "manifest.json"
+        RunManifest("campaign", json.loads(param), 0, {}).write(manifest)
+        argv = ["--manifest", str(manifest)]
+    else:
+        argv = ["--kind", kind, "--param", param]
+    assert run_cli(["campaign", *argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (out / "manifest.json").exists()
@@ -218,6 +267,8 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     (["campaign", "--kind", "endpoint", "--replicas", "10", "--param", "n_ladder=[4]", "--threads", "-3"],
      "threads=-3 must be >= 1"),
     (["lclt", "--box", "inf"], "--box inf must be < inf"),
+    (["simulate", "--w", "exp:1", "--steps", "5", "--seed", "-1"], "--seed -1 must be >= 0"),
+    (["profile", "--w", "exp:1", "--m", "3", "--seed", "-2"], "--seed -2 must be >= 0"),
 ])
 def test_bad_argument_writes_nothing(tmp_path, capsys, argv, message):
     # refused before the manifest is written, not by a traceback or an empty run mid-way

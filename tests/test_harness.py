@@ -25,13 +25,9 @@ from srrw.errors import CampaignConfigError
 from srrw.harness import ks_vs_uniform, load_expectations, upper95
 
 
-def test_expectations_load_and_env_override(tmp_path, monkeypatch):
+def test_expectations_load_packaged_file():
     exp = load_expectations()
     assert "endpoint_ks_max" in exp
-    custom = tmp_path / "exp.json"
-    custom.write_text(json.dumps({"tail_top_freq_max": 0.5}))
-    monkeypatch.setenv("SRRW_EXPECTATIONS", str(custom))
-    assert load_expectations() == {"tail_top_freq_max": 0.5}
 
 
 def test_upper95_zero_hits():

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -211,13 +212,20 @@ def step_law_ramp(w_ramp):
     return stationary_step_law(w_ramp)
 
 
-@pytest.mark.parametrize("sd_cap", [DEFAULT_SD_CAP, 2.0])
-@pytest.mark.parametrize("N", [1, 2, 7, 30, 120])
-@pytest.mark.parametrize("law_name", ["exp", "ramp", "one_sided"])
+@pytest.mark.parametrize("law_name,N,sd_cap", [
+    *itertools.product(["exp", "ramp", "one_sided"], [1, 2, 7, 30, 120], [DEFAULT_SD_CAP, 2.0]),
+    # the sd-cap box is centred on zero drift, so falling's mass leaves it within a few dozen steps
+    ("falling", 7, DEFAULT_SD_CAP),
+    ("falling", 7, 2.0),
+])
 def test_dp_matches_reference(request, law_name, N, sd_cap):
     if law_name == "one_sided":
         # every step moves Y up, so the box drifts and leaves stale rows behind
         law = Lattice1DDistribution(0, np.array([0.3, 0.7]), 0.5)
+    elif law_name == "falling":
+        # every step moves Y down, so while w_j < 0 the box's right edge moves left
+        # and leaves stale columns right of the new box
+        law = Lattice1DDistribution(-3, np.array([0.3, 0.7]), 0.5)
     else:
         law = request.getfixturevalue("step_law" if law_name == "exp" else "step_law_ramp")
     ref = _ref_exact_bivariate_pmf(law, N, sd_cap)

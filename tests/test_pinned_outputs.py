@@ -8,6 +8,9 @@ threads with a block size small enough that several blocks run per point.
 inverse-time's scaled/predicted columns read sigma2, whose last bits depend on
 the BLAS build, so that kind pins its integer sampler hits and walk hits.
 
+Each campaign case is then re-run from its own manifest.json on one thread:
+the re-run's results.json records threads=1, and differs in nothing else.
+
 Run this file as a script to print the digests of the current code:
 
     PYTHONPATH=src python tests/test_pinned_outputs.py
@@ -21,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from srrw.cli import main
+from srrw.reporting import dump_json
 
 TWO_THREADS = ["--threads", "2"]
 
@@ -103,6 +107,16 @@ def _run(kind: str, outdir: Path) -> dict:
 @pytest.mark.parametrize("kind", sorted(CASES))
 def test_pinned_outputs(tmp_path, kind):
     assert _run(kind, tmp_path / kind) == PINNED[kind]
+    if CASES[kind][0] != "campaign":
+        return
+    rerun = tmp_path / "rerun"
+    assert main(["campaign", "--manifest", str(tmp_path / kind / "manifest.json"), "--threads", "1",
+                 "--out", str(rerun)]) in (0, 1)
+    results = json.loads((rerun / "results.json").read_text())
+    assert results["config"]["threads"] == 1
+    results["config"]["threads"] = 2
+    dump_json(rerun / "results.json", results)
+    assert _digests(kind, rerun) == PINNED[kind]
 
 
 if __name__ == "__main__":

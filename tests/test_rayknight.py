@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from srrw import vectorwalk as vw
 from srrw.enumeration import edge_hit_profile_law
@@ -383,6 +385,22 @@ def test_profile_window_matches_reference(sampler, x, m, y_lo, y_hi):
     want = _ref_window(sampler, x, m, 700, 21, y_lo, y_hi)
     assert sorted(got) == sorted(want) == list(range(y_lo, y_hi + 1))
     assert all(np.array_equal(got[y], want[y]) for y in want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=st.sampled_from([0, -1, -3]), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       y_lo=st.integers(-30, 4), width=st.integers(0, 40))
+def test_one_replica_window_matches_single_profile(sampler_exp, x, m, seed, y_lo, width):
+    # one replica of the windowed sweep makes the single profile's draws in the same order: its right
+    # sites always agree, and its left sites once the right sweep ran as far as the single profile's
+    y_hi = y_lo + width
+    single = sampler_exp.sample_profile(x, m, seed)
+    got = sampler_exp.batch_profile_window(x, m, 1, seed, y_lo, y_hi)
+    whole = y_hi >= single.sites()[-1]
+    assert sorted(got) == list(range(y_lo, y_hi + 1))
+    for y in got:
+        if y > x or whole:
+            assert got[y].tolist() == [single.l_plus(y)], y
 
 
 def test_profile_window_keeps_to_the_window(sampler_exp):
