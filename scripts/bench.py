@@ -65,7 +65,7 @@ RK_REPLICAS = 65536
 RK_LEVELS = (7, 10, 12, 14, 17)  # the m levels of the n=24 inverse-time campaign
 TAIL_M = 1000
 TAIL_REPLICAS = 20000  # the first point of the tail campaign's default ladder
-ETA_WINDOW = (-40, 40)  # the window RayKnightSampler solves on
+ETA_WINDOW = (-40, 40)  # eta.DEFAULT_WINDOW, the window RayKnightSampler and the step law solve on
 ETA_BUILDS = 20  # one build takes a few ms
 ETA_CHAIN_STEPS = 1_000_000
 LCLT_N = 200  # the size of the benchmark's lclt_exact operation
@@ -193,7 +193,7 @@ def child_stationary() -> dict:
         t0 = time.perf_counter()
         st = stationary_distribution(kernel, ETA_WINDOW)
         t1 = time.perf_counter()
-        table = marginal_law_table(kernel, ETA_WINDOW, stationary=st)
+        table = marginal_law_table(kernel, stationary=st)  # on the window of st
         stationary_s += t1 - t0
         table_s += time.perf_counter() - t1
     return {

@@ -32,7 +32,7 @@ from .eta import (
     stationary_distribution,
 )
 from .scaling import ScalingParams, beta_n, scaling_params, theta
-from .rayknight import ProfileSample, RayKnightSampler
+from .rayknight import RayKnightSampler
 from .lclt import (
     BivariatePMF,
     ConvolutionBoundReport,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +24,10 @@ from .walk import EtaSequence, _as_generator
 from .weights import WeightFunction
 
 DEFAULT_EPS_TAIL = 1e-14
-DEFAULT_WINDOW = (-40, 40)
+DEFAULT_WINDOW = (-40, 40)  # the window the sampler and the step law solve on
+STATIONARY_RESIDUAL = 1e-12  # L1 residual that ends the power iteration
+STATIONARY_MAX_ITERS = 200_000
+TV_CUTOFF = 1e-15  # the marginal table ends once a row is this close to nu
 GUIDE_K = 1024  # guide cells per CDF row; a power of two keeps k/K exact
 TV_FLOOR = 1e-10  # the mixing cutoff may stop on a stalled TV only below this
 
@@ -102,13 +104,12 @@ class EtaKernel:
     """Row cache plus window-truncated matrix builder for one weight."""
 
     weight: WeightFunction
-    eps_tail: float = DEFAULT_EPS_TAIL
     _rows: dict = field(default_factory=dict, repr=False)
 
     def row(self, state: int) -> Lattice1DDistribution:
         r = self._rows.get(state)
         if r is None:
-            r = eta_kernel_row(self.weight, state, self.eps_tail)
+            r = eta_kernel_row(self.weight, state)
             self._rows[state] = r
         return r
 
@@ -141,17 +142,12 @@ class StationaryResult:
     iterations: int
 
 
-def stationary_distribution(
-    kernel: EtaKernel,
-    window: tuple = DEFAULT_WINDOW,
-    residual: float = 1e-12,
-    leak_target: float = 1e-9,
-    max_iters: int = 200_000,
-) -> StationaryResult:
+def stationary_distribution(kernel: EtaKernel, window: tuple = DEFAULT_WINDOW,
+                            leak_target: float = 1e-9) -> StationaryResult:
     """Numeric stationary law of the embedded chain on a truncated window.
 
-    Power iteration to L1 residual < `residual`; fails if the window lets
-    more than `leak_target` stationary mass leak through its boundary.
+    Power iteration to L1 residual < STATIONARY_RESIDUAL; fails if the window
+    lets more than `leak_target` stationary mass leak through its boundary.
     """
     lo, hi = window
     P, leak = kernel.window_matrix(lo, hi)
@@ -160,15 +156,15 @@ def stationary_distribution(
     v = np.exp(-0.5 * (np.arange(lo, hi + 1) + 0.5) ** 2)
     v /= v.sum()
     res = np.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, STATIONARY_MAX_ITERS + 1):
         nxt = v @ P
         nxt = nxt / nxt.sum()
         res = float(np.abs(nxt - v).sum())
         v = nxt
-        if res < residual:
+        if res < STATIONARY_RESIDUAL:
             break
     else:
-        raise ConvergenceError(f"power iteration residual {res} after {max_iters} iters")
+        raise ConvergenceError(f"power iteration residual {res} after {STATIONARY_MAX_ITERS} iters")
     boundary = float(np.dot(v, leak))
     if boundary > leak_target:
         raise WindowTooSmallError(
@@ -277,22 +273,14 @@ class MarginalTable:
         return self._state.take(pos)
 
 
-def marginal_law_table(
-    kernel: EtaKernel,
-    window: tuple = DEFAULT_WINDOW,
-    tv_cutoff: float = 1e-15,
-    j_cap: int = 5000,
-    stationary: Optional[StationaryResult] = None,
-) -> MarginalTable:
-    """Exact j-step marginals from state 0 until they are within tv_cutoff of
-    the stationary law in total variation.  A slowly contracting TV (less than
-    2x per step) ends the table early only once it is below TV_FLOOR, where
-    it has met the numeric floor of nu itself; ConvergenceError if j_cap is
-    reached above TV_FLOOR."""
-    lo, hi = window
+def marginal_law_table(kernel: EtaKernel, stationary: StationaryResult, j_cap: int = 5000) -> MarginalTable:
+    """Exact j-step marginals from state 0, on the window of `stationary`,
+    until they are within TV_CUTOFF of its law in total variation.  A slowly
+    contracting TV (less than 2x per step) ends the table early only once it
+    is below TV_FLOOR, where it has met the numeric floor of nu itself;
+    ConvergenceError if j_cap is reached above TV_FLOOR."""
+    lo, hi = stationary.window
     P, _ = kernel.window_matrix(lo, hi)
-    if stationary is None:
-        stationary = stationary_distribution(kernel, window)
     nu = stationary.nu.probs
     j_min = max(abs(lo) + 1, 2)  # guarantees index >= j_star implies state + index > 0
     rows = []
@@ -308,7 +296,7 @@ def marginal_law_table(
             v = v / s
         rows.append(v.copy())
         tv = 0.5 * float(np.abs(v - nu).sum())
-        if j >= j_min and (tv < tv_cutoff or TV_FLOOR > tv > 0.5 * prev_tv):
+        if j >= j_min and (tv < TV_CUTOFF or TV_FLOOR > tv > 0.5 * prev_tv):
             break  # converged, or hit the numeric floor of nu itself
         prev_tv = tv
     else:

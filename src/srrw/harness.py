@@ -23,7 +23,7 @@ import numpy as np
 from . import vectorwalk as vw
 from .errors import CampaignConfigError, SrrwError
 from .rayknight import RayKnightSampler, tail_probe_site
-from .reporting import CheckResult, StatsReport, Stopwatch
+from .reporting import CheckResult, StatsReport
 from .scaling import beta_n as beta_n_formula
 from .scaling import theta
 from .weights import WeightFunction
@@ -155,6 +155,8 @@ class CampaignConfig:
             raise CampaignConfigError(f"{self.kind}: {self.ladder} entries must be >= 1")
         if getattr(self, "replicas", 1) < 1:
             raise CampaignConfigError(f"{self.kind}: replicas={self.replicas} must be >= 1")
+        if getattr(self, "cross_replicas", 0) < 0:  # 0 skips the walk cross-check
+            raise CampaignConfigError(f"{self.kind}: cross_replicas={self.cross_replicas} must be >= 0")
         if self.block_size < 1 or self.threads < 1:
             raise CampaignConfigError(
                 f"{self.kind}: block_size={self.block_size} and threads={self.threads} must be >= 1")
@@ -188,6 +190,8 @@ class LcltTableConfig(CampaignConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.n < 1:
+            raise CampaignConfigError(f"lclt_table: n={self.n} must be >= 1")
         if not self.grid():
             raise CampaignConfigError(f"lclt_table: no site |x| <= n - n^alpha has the parity of n^2 at n={self.n}")
 
@@ -225,6 +229,8 @@ class TailConfig(CampaignConfig):
             )
         if min(self.replicas_per_m) < 1:
             raise CampaignConfigError("tails: replicas_per_m entries must be >= 1")
+        if self.cross_m < 0:  # 0 skips the walk cross-check
+            raise CampaignConfigError(f"tails: cross_m={self.cross_m} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -242,6 +248,8 @@ class InverseTimeConfig(CampaignConfig):
             raise CampaignConfigError(f"inverse_time: n={self.n} must be >= 1")
         if (self.x - self.n * self.n) % 2 != 0:
             raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
+        if self.x > 1:
+            raise CampaignConfigError(f"inverse_time: x={self.x} must be <= 1, so that the sampled edge x - 1 is <= 0")
         if not self.levels():
             raise CampaignConfigError(f"inverse_time: no c target gives a level m >= 1 at n={self.n}, x={self.x}")
 
@@ -258,6 +266,15 @@ class WTermsConfig(CampaignConfig):
     n_ladder: tuple[int, ...] = (50, 100, 200)
     M: float = 1.0
     replicas: int = 20_000
+
+    def __post_init__(self):
+        super().__post_init__()
+        if min(self.levels()) < 1:
+            raise CampaignConfigError(f"wterms: the levels m = round(n/2) of n_ladder, {self.levels()}, must be >= 1")
+
+    def levels(self) -> list:
+        """The level m = round(theta_n(0)) of each ladder entry."""
+        return [int(round(theta(float(n), 0.0))) for n in self.n_ladder]
 
 
 CONFIG_KINDS = {
@@ -291,15 +308,13 @@ def run_campaign(cfg: CampaignConfig) -> StatsReport:
 
 def _campaign(kind: str):
     """Register a runner returning (tables, checks, replicas_total) as the
-    campaign of that kind; the registered function returns the timed StatsReport."""
+    campaign of that kind; the registered function returns the StatsReport."""
 
     def register(fn):
         @functools.wraps(fn)
         def run(cfg: CampaignConfig) -> StatsReport:
-            watch = Stopwatch()
             tables, checks, total = fn(cfg)
-            return StatsReport(kind=kind, config=cfg.to_dict(), tables=tables, checks=checks,
-                               replicas_total=total, wall_clock_s=watch.elapsed())
+            return StatsReport(kind=kind, config=cfg.to_dict(), tables=tables, checks=checks, replicas_total=total)
 
         _RUNNERS[kind] = run
         return run
@@ -347,7 +362,7 @@ def endpoint_law(cfg: EndpointConfig):
         ks_values.append(ks)
         checks.append(CheckResult(f"endpoint_mean_zero_n{n}", abs(mean) <= 3 * se_mean + 1e-12,
                                   f"mean {mean:.5f} se {se_mean:.5f}"))
-        band = exp.get("endpoint_ks_max", {}).get(str(n))
+        band = exp["endpoint_ks_max"].get(str(n))
         if band is not None:
             checks.append(CheckResult(f"endpoint_ks_n{n}", ks < band, f"ks {ks:.4f} < {band}"))
     if len(ks_values) > 1:
@@ -458,7 +473,7 @@ def tail_bounds_suite(cfg: TailConfig):
             freqs[ev].append(freq)
             rows.append({"m": m, "event": ev, "threshold": thresholds[ev], "hits": hits,
                          "replicas": reps, "freq": freq, "se": se, "upper95": upper95(hits, reps)})
-    top_max = exp.get("tail_top_freq_max", 0.01)
+    top_max = exp["tail_top_freq_max"]
     for ev, fl in freqs.items():
         checks.append(_monotone(f"tail_{ev}_monotone", fl, False, f"freqs {fl}"))
         checks.append(CheckResult(f"tail_{ev}_top", fl[-1] < top_max, f"top freq {fl[-1]} < {top_max}"))
@@ -555,7 +570,7 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig):
         by_absc.setdefault(round(abs(r["c"]), 6), []).append(r["scaled"])
     absc = sorted(by_absc)
     means = [sum(v) / len(v) for c_, v in sorted(by_absc.items())]
-    band = exp.get("inverse_time_scaled_band_c0", [0.7, 1.3])
+    band = exp["inverse_time_scaled_band_c0"]
     if 0.0 in by_absc:
         v0 = by_absc[0.0][0]
         checks.append(CheckResult("inverse_time_c0_band", band[0] <= v0 <= band[1],
@@ -576,8 +591,7 @@ def w_boundary_terms(cfg: WTermsConfig):
     sampler = RayKnightSampler(w)
     rows, checks = [], []
     freq_by_k = {1: [], 2: []}
-    for ip, n in enumerate(cfg.n_ladder):
-        m = int(round(theta(float(n), 0.0)))
+    for ip, (n, m) in enumerate(zip(cfg.n_ladder, cfg.levels())):
         boundary = n - math.sqrt(n) * math.log(n)
         threshold = cfg.M * n * math.log(n) ** 3
 

@@ -50,13 +50,12 @@ _BAND_ROWS = 12  # target rows per banded product of the DP
 _GEMM_MNK = 1 << 18  # largest m*n*k that OpenBLAS runs on one thread
 
 
-def stationary_step_law(
-    w: WeightFunction, window=(-40, 40), trim: float = 1e-18
-) -> Lattice1DDistribution:
+def stationary_step_law(w: WeightFunction) -> Lattice1DDistribution:
     """The symmetric half-integer step law derived from the stationary
-    distribution of the embedded chain (the chain state shifted by +1/2)."""
-    res = stationary_distribution(EtaKernel(w), window)
-    law = res.r_law.truncated(trim)
+    distribution of the embedded chain (the chain state shifted by +1/2) on
+    eta.DEFAULT_WINDOW, with atoms of mass 1e-18 or less dropped."""
+    res = stationary_distribution(EtaKernel(w))
+    law = res.r_law.truncated(1e-18)
     probs = law.probs / law.probs.sum()
     return Lattice1DDistribution(law.lo, probs, 0.5)
 
@@ -348,10 +347,8 @@ def limit_scale(sigma2: float, N: int) -> float:
 class GaussianComparison:
     N: int
     sigma2: float
-    box: tuple
     sup_scaled_error: float
     argmax: tuple
-    n_points: int
     truncated_mass: float
 
     def __post_init__(self):
@@ -399,7 +396,6 @@ def lclt_sup_error(
     bt_all = pmf.bt_values()
     alo, ahi, blo, bhi = pmf.box
     near = []
-    count = 0
     # b lattice enumerated per admissible a-row (S = S~ + c a shifts per row)
     b_lat_lo = -v_max * n32
     for ia, a in enumerate(a_all):
@@ -418,28 +414,22 @@ def lclt_sup_error(
         inside = (ib >= blo) & (ib < bhi)
         exact[inside] = pmf.arr[alo + ia, ib[inside]]
         err = np.abs(scale * exact - np.exp(-limit_exponent(u, v, s2, plus_cross_sign)))
-        count += len(err)
         near += _near_row_max(a, b_vals, err)
     sup, arg = _sup_and_argmax(near)
     return GaussianComparison(
         N=N,
         sigma2=s2,
-        box=(u_max, v_max),
         sup_scaled_error=sup,
         argmax=arg,
-        n_points=count,
         truncated_mass=pmf.truncated_mass,
     )
 
 
-def conditional_sup_error(pmf: BivariatePMF, a_max: float | None = None, b_max: float | None = None):
-    """sup over |a| <= a_max, |b| <= b_max of the scaled conditional error
+def conditional_sup_error(pmf: BivariatePMF):
+    """sup over |a| <= 2 sqrt(N), |b| <= 2 N^{3/2} of the scaled conditional error
     |(sqrt(2 pi) sigma/sqrt(12)) N^{3/2} P(S=b|Y=a) - exp(-(6/s2)(a/2sqrt(N) - b/N^{3/2})^2)|."""
     N = pmf.N
-    if a_max is None:
-        a_max = 2.0 * math.sqrt(N)
-    if b_max is None:
-        b_max = 2.0 * N**1.5
+    a_max, b_max = 2.0 * math.sqrt(N), 2.0 * N**1.5
     s = math.sqrt(pmf.sigma2)
     scale = math.sqrt(2.0 * math.pi) * s * N**1.5 / math.sqrt(12.0)
     near = []

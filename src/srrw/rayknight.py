@@ -20,7 +20,6 @@ reproduces the exact joint profile law.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,33 +29,6 @@ from .walk import _as_generator
 from .weights import WeightFunction
 
 ABSORB_CAP_SLACK = 4096
-
-
-@dataclass
-class ProfileSample:
-    """One draw of the profile y -> l+(T, y) with derived l- and total time."""
-
-    x: int
-    m: int
-    site_lo: int
-    lplus: np.ndarray  # l+ at sites site_lo .. site_lo + len - 1
-    lminus: np.ndarray
-    T: int
-
-    def sites(self) -> np.ndarray:
-        return self.site_lo + np.arange(len(self.lplus))
-
-    def l_plus(self, y: int) -> int:
-        i = y - self.site_lo
-        if 0 <= i < len(self.lplus):
-            return int(self.lplus[i])
-        return 0
-
-    def l_minus(self, y: int) -> int:
-        i = y - self.site_lo
-        if 0 <= i < len(self.lminus):
-            return int(self.lminus[i])
-        return 0
 
 
 def tail_probe_site(m: int, g_m: float) -> int:
@@ -72,13 +44,11 @@ class RayKnightSampler:
     and deterministic given the generator passed in.
     """
 
-    def __init__(self, w: WeightFunction, window=(-40, 40), eps_tail=1e-14):
+    def __init__(self, w: WeightFunction):
         self.weight = w
-        self.kernel = EtaKernel(w, eps_tail)
-        self.stationary: StationaryResult = stationary_distribution(self.kernel, window)
-        self.table: MarginalTable = marginal_law_table(
-            self.kernel, window, stationary=self.stationary
-        )
+        self.kernel = EtaKernel(w)
+        self.stationary: StationaryResult = stationary_distribution(self.kernel)
+        self.table: MarginalTable = marginal_law_table(self.kernel, self.stationary)
         self.sigma2 = self.stationary.sigma2
 
     # -- core draws -----------------------------------------------------------
@@ -100,8 +70,11 @@ class RayKnightSampler:
         l-values at the site, drawn by one `_advance` call, zeros not yet
         dropped.  A side stops after its end site, or on absorption; a side
         with no end runs to absorption and raises SimulationBudgetError past
-        4m + |x| + ABSORB_CAP_SLACK sites.
+        4m + |x| + ABSORB_CAP_SLACK sites.  The site rules hold for m >= 1
+        and x <= 0 only; other inputs raise ValueError.
         """
+        if m < 1 or x > 0:
+            raise ValueError(f"need m >= 1 and x <= 0, not m={m}, x={x}")
         cap = 4 * m + abs(x) + ABSORB_CAP_SLACK
         for side, step, end, idx in (("right", 1, right_end, self._boundary_index(x, m)),
                                      ("left", -1, left_end, m)):
@@ -120,31 +93,6 @@ class RayKnightSampler:
                     act, lact = act[keep], lact[keep]
                 site += step
 
-    def sample_profile(self, x: int, m: int, seed) -> ProfileSample:
-        """One draw of the profile y -> l+(T+_{x,m}, y), with l- and T."""
-        if m < 1:
-            raise ValueError("m must be >= 1 (m = 0 is a degenerate inverse local time)")
-        if x > 0:
-            raise ValueError("profile sampler is defined for x <= 0")
-        vals = {"right": [], "left": []}
-        for side, _, _, lact in self._sweep(x, m, 1, _as_generator(seed)):
-            vals[side].append(int(lact[0]))
-        site_lo = x - len(vals["left"])
-        lplus = np.array(vals["left"][::-1] + [m] + vals["right"], dtype=np.int64)
-        lminus = self._derive_lminus(x, m, site_lo, lplus)
-        T = 2 * int(lplus.sum()) + abs(x) - 1
-        return ProfileSample(x=x, m=m, site_lo=site_lo, lplus=lplus, lminus=lminus, T=T)
-
-    def _derive_lminus(self, x, m, site_lo, lplus):
-        """l- from l+ by edge-crossing balance around the standing site x+1:
-        l-(y) = l+(y-1), plus 1 on (x+1, 0], and the boundary index at x+1."""
-        lminus = np.zeros(len(lplus), dtype=np.int64)
-        lminus[1:] = lplus[:-1]
-        k = x + 1 - site_lo
-        lminus[k] = self._boundary_index(x, m)
-        lminus[k + 1 : 1 - site_lo] += 1
-        return lminus
-
     # -- batch consumers of the sweep -----------------------------------------
 
     def batch_profile_window(self, x: int, m: int, replicas: int, seed, y_lo: int, y_hi: int):
@@ -152,8 +100,6 @@ class RayKnightSampler:
 
         Returns dict y -> int array (replicas,).
         """
-        if m < 1 or x > 0:
-            raise ValueError("need m >= 1 and x <= 0")
         out = {y: np.zeros(replicas, dtype=np.int64) for y in range(y_lo, y_hi + 1)}
         if x in out:
             out[x][:] = m

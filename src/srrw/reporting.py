@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -86,7 +85,6 @@ class StatsReport:
     tables: dict = field(default_factory=dict)
     checks: list = field(default_factory=list)
     replicas_total: int = 0
-    wall_clock_s: float | None = None
 
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -159,11 +157,3 @@ class RunManifest:
             d = json.load(fh)
         schema = d.pop("schema", SCHEMA_MANIFEST)
         return RunManifest(schema=schema, **d)
-
-
-class Stopwatch:
-    def __init__(self):
-        self.t0 = time.perf_counter()
-
-    def elapsed(self) -> float:
-        return time.perf_counter() - self.t0

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import SimulationBudgetError
-from .walk import _as_generator
+from .walk import _as_generator, _step_sign
 from .weights import WeightFunction
 
 
@@ -222,8 +222,7 @@ def edge_hit_times(w: WeightFunction, edge_site: int, levels, replicas: int, see
     return _retrying(run, min(guess, default_width(t_cap)), 96, max_doublings=14)
 
 
-def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str, replicas: int, seed,
-                              step_cap: int = 100_000):
+def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str, replicas: int, seed):
     """Observe one embedded-chain transition per replica from walk dynamics.
 
     The site-0 signed difference is imprinted to match `eta_state` via a
@@ -233,9 +232,9 @@ def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str,
     and the departure bookkeeping are used - not the kernel's closed form.
 
     Returns (values, censored): values int64 (finished replicas), censored
-    count of replicas that exceeded step_cap.
+    count of replicas with no such departure within 100 000 steps.
     """
-    want = 1 if direction in ("+", "plus") else -1
+    want = _step_sign(direction)
     d0 = -eta_state if want == 1 else eta_state
     d_init = {0: d0}
     if d0:
@@ -257,7 +256,7 @@ def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str,
             got[ids] = True
             return rows
 
-        walk.run(step_cap, on_step)
+        walk.run(100_000, on_step)
         return out[got], int((~got).sum())
 
     return _retrying(run, 512, max(96, 4 * abs(eta_state) + 64))

@@ -31,9 +31,6 @@ class LocalTimeTable:
     def l_minus(self, x: int) -> int:
         return self.minus.get(x, 0)
 
-    def diff(self, x: int) -> int:
-        return self.plus.get(x, 0) - self.minus.get(x, 0)
-
     def total(self) -> int:
         return sum(self.plus.values()) + sum(self.minus.values())
 
@@ -122,11 +119,11 @@ def simulate_walk(w: WeightFunction, steps: int, seed) -> Trajectory:
 
 def inverse_local_time(t: Trajectory, x: int, m: int, direction: str) -> Optional[int]:
     """First time k with l^dir(k, x) = m, or None if not attained in t."""
+    want = _step_sign(direction)
     if m < 0:
         raise ValueError("m must be >= 0")
     if m == 0:
         return 0
-    want = 1 if direction in ("+", "plus") else -1
     count = 0
     pos = t.positions
     for j in range(len(t.steps)):
@@ -142,7 +139,7 @@ def range_extremes(t: Trajectory, T: int):
 
     None stands in for the sup/inf of an empty set.
     """
-    table = t.local_times_at(T)
+    table = t.localtimes if T == len(t) else t.local_times_at(T)
     plus_sites = [x for x, v in table.plus.items() if v > 0]
     minus_sites = [x for x, v in table.minus.items() if v > 0]
     rho = max(plus_sites) if plus_sites else None
@@ -158,8 +155,8 @@ def extract_eta_sequence(t: Trajectory, x: int, direction: str) -> EtaSequence:
     direction "+" record -d at each rightward departure, for "-" record
     +d at each leftward departure; both sequences start with value 0.
     """
-    want = 1 if direction in ("+", "plus") else -1
-    sign = -1 if want == 1 else 1
+    want = _step_sign(direction)
+    sign = -want
     pos = t.positions
     values = [0]
     taus = [0]
@@ -174,10 +171,17 @@ def extract_eta_sequence(t: Trajectory, x: int, direction: str) -> EtaSequence:
                 taus.append(m)
     return EtaSequence(
         site=x,
-        direction="+" if want == 1 else "-",
+        direction=direction,
         values=np.array(values, dtype=np.int64),
         taus=np.array(taus, dtype=np.int64),
     )
+
+
+def _step_sign(direction: str) -> int:
+    """The step, +1 or -1, of a departure in direction "+" or "-"."""
+    if direction not in ("+", "-"):
+        raise ValueError(f"direction must be '+' or '-', not {direction!r}")
+    return 1 if direction == "+" else -1
 
 
 def _as_generator(seed) -> np.random.Generator:

@@ -116,9 +116,9 @@ class WeightFunction:
         parts = text.split(":")
         kind = parts[0].lower()
         try:
-            if kind in ("exp", "exponential"):
+            if kind == "exp":
                 return WeightFunction("exponential", (float(parts[1]),))
-            if kind in ("ramp", "linear_ramp", "linear-ramp"):
+            if kind == "ramp":
                 slope = float(parts[1])
                 floor = float(parts[2]) if len(parts) > 2 else 1.0
                 return WeightFunction("linear_ramp", (slope, floor))

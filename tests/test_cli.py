@@ -238,6 +238,17 @@ def test_console_entry_point():
     pytest.param("wterms", "M=1" + "0" * 400, "must be a finite number", id="wterms-M=10**400"),
     ("endpoint", 'weight={"family":"exponential"}', "endpoint: weight={'family': 'exponential'} is not a weight"),
     ("wterms", "master_seed=-1", "wterms: master_seed=-1 must be >= 0"),
+    # negative counts, and levels or edges outside the Ray-Knight sampler's domain
+    pytest.param("--manifest", '{"kind": "tails", "m_ladder": [1000], "replicas_per_m": [10], "cross_replicas": -1}',
+                 "tails: cross_replicas=-1 must be >= 0", id="manifest-tails-cross_replicas=-1"),
+    pytest.param("--manifest", '{"kind": "tails", "m_ladder": [1000], "replicas_per_m": [10], "cross_m": -3}',
+                 "tails: cross_m=-3 must be >= 0", id="manifest-tails-cross_m=-3"),
+    pytest.param("--manifest", '{"kind": "inverse_time", "n": 4, "replicas": 10, "cross_replicas": -1}',
+                 "inverse_time: cross_replicas=-1 must be >= 0", id="manifest-inverse-time-cross_replicas=-1"),
+    ("lclt-table", "n=-4", "lclt_table: n=-4 must be >= 1"),
+    pytest.param("--manifest", '{"kind": "inverse_time", "n": 4, "x": 2, "replicas": 10, "cross_replicas": 10}',
+                 "inverse_time: x=2 must be <= 1", id="manifest-inverse-time-x=2"),
+    ("wterms", "n_ladder=[1,4]", "wterms: the levels m = round(n/2) of n_ladder, [0, 2], must be >= 1"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
     out = tmp_path / "c"

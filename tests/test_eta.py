@@ -154,7 +154,7 @@ def test_chain_long_run_mean(kernel_exp):
 
 
 def test_marginal_table_matches_matrix_powers(kernel_exp, stationary_exp):
-    table = marginal_law_table(kernel_exp, stationary_exp.window, stationary=stationary_exp)
+    table = marginal_law_table(kernel_exp, stationary_exp)
     lo, hi = stationary_exp.window
     P, _ = kernel_exp.window_matrix(lo, hi)
     v = np.zeros(hi - lo + 1)
@@ -171,7 +171,7 @@ def test_mixing_cutoff_against_matrix_powers(spec):
     # while it is still far above the numeric floor of nu
     kernel = EtaKernel(WeightFunction.parse(spec))
     stationary = stationary_distribution(kernel)
-    table = marginal_law_table(kernel, stationary.window, stationary=stationary)
+    table = marginal_law_table(kernel, stationary)
     lo, hi = stationary.window
     P, _ = kernel.window_matrix(lo, hi)
     row = np.linalg.matrix_power(P, table.j_star)[-lo]
@@ -182,11 +182,11 @@ def test_mixing_cutoff_against_matrix_powers(spec):
     assert np.abs(np.diff(table.cdfs[-1], prepend=0.0) - row).max() < 1e-12
     if table.tv_at_cutoff > 1e-12:
         with pytest.raises(ConvergenceError):
-            marginal_law_table(kernel, stationary.window, j_cap=table.j_star - 1, stationary=stationary)
+            marginal_law_table(kernel, stationary, j_cap=table.j_star - 1)
 
 
 def test_marginal_table_draw_law(kernel_exp, stationary_exp):
-    table = marginal_law_table(kernel_exp, stationary_exp.window, stationary=stationary_exp)
+    table = marginal_law_table(kernel_exp, stationary_exp)
     rng = np.random.Generator(np.random.Philox(12))
     idx = np.full(100_000, 2, dtype=np.int64)
     draws = table.draw(idx, rng)

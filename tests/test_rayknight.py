@@ -14,47 +14,38 @@ from srrw.walk import _as_generator
 
 
 def test_profile_anchors_at_m(sampler_exp):
-    for seed in range(10):
-        prof = sampler_exp.sample_profile(0, 4, seed=seed)
-        assert prof.l_plus(0) == 4
-        prof2 = sampler_exp.sample_profile(-3, 2, seed=seed)
-        assert prof2.l_plus(-3) == 2
+    for x, m in ((0, 4), (-3, 2)):
+        out = sampler_exp.batch_profile_window(x, m, 10, seed=-x, y_lo=x - 1, y_hi=x + 1)
+        assert (out[x] == m).all()
 
 
 def test_profile_rejects_degenerate(sampler_exp):
-    with pytest.raises(ValueError):
-        sampler_exp.sample_profile(0, 0, seed=1)
-    with pytest.raises(ValueError):
-        sampler_exp.sample_profile(2, 1, seed=1)
+    # the site rules hold for m >= 1 and x <= 0; every consumer's sweep checks it
+    for x, m in ((0, 0), (1, 1)):
+        for run in (lambda: sampler_exp.batch_total_time(x, m, 4, seed=1),
+                    lambda: sampler_exp.batch_boundary_sums(x, m, 4, seed=1, boundary=2.0),
+                    lambda: sampler_exp.batch_profile_window(x, m, 4, seed=1, y_lo=-3, y_hi=3)):
+            with pytest.raises(ValueError, match="need m >= 1 and x <= 0"):
+                run()
 
 
 def test_profile_absorbs_right_of_origin(sampler_exp):
     # once the profile hits 0 at a site >= 1 it stays 0
-    for seed in range(30):
-        prof = sampler_exp.sample_profile(0, 3, seed=seed)
-        sites = prof.sites()
-        vals = prof.lplus
-        right = vals[sites >= 1]
-        if (right == 0).any():
-            first = int(np.argmax(right == 0))
-            assert (right[first:] == 0).all()
+    out = sampler_exp.batch_profile_window(0, 3, 30, seed=0, y_lo=1, y_hi=60)
+    zero = np.stack([out[y] for y in range(1, 61)], axis=1) == 0
+    assert zero[:, -1].all() and (np.logical_or.accumulate(zero, axis=1) == zero).all()
 
 
 def test_profile_total_time_parity(sampler_exp):
-    # T = 2 sum l+ + |x| - 1 lands at x+1, so T = x+1 (mod 2)
+    # T = 2 sum l+ + |x| - 1 lands at x+1, so T = x+1 (mod 2); a window that holds every
+    # nonzero site makes the total-time sweep's draws
     for x, m, seed in ((0, 3, 0), (-1, 2, 1), (-4, 5, 2)):
-        prof = sampler_exp.sample_profile(x, m, seed=seed)
-        assert prof.T == 2 * int(prof.lplus.sum()) + abs(x) - 1
-        assert (prof.T - (x + 1)) % 2 == 0
-
-
-def test_profile_lminus_balance(sampler_exp):
-    # edge-crossing balance: interior |l+(y) - l-(y+1)|
-    prof = sampler_exp.sample_profile(-2, 3, seed=7)
-    for y in range(prof.site_lo, prof.site_lo + len(prof.lplus) - 1):
-        lm = prof.l_minus(y + 1)
-        lp = prof.l_plus(y)
-        assert abs(lp - lm) <= 1
+        T = sampler_exp.batch_total_time(x, m, 200, seed)
+        assert ((T - (x + 1)) % 2 == 0).all()
+        reach = 4 * m + abs(x) + 200
+        prof = sampler_exp.batch_profile_window(x, m, 200, seed, x - reach, reach)
+        assert (prof[x - reach] == 0).all() and (prof[reach] == 0).all()
+        assert np.array_equal(T, 2 * sum(prof.values()) + abs(x) - 1)
 
 
 def test_m1_law_at_site1_is_point_mass(sampler_exp, w_exp):
@@ -136,10 +127,9 @@ def test_batch_total_time_matches_walk(sampler_exp, w_exp):
 
 @pytest.mark.parametrize("side", ["right", "left"])
 @pytest.mark.parametrize("run", [
-    lambda s: s.sample_profile(0, 3, seed=1),
     lambda s: s.batch_total_time(0, 3, 4, seed=1),
     lambda s: s.batch_boundary_sums(0, 3, 4, seed=1, boundary=2.0),
-], ids=["sample_profile", "batch_total_time", "batch_boundary_sums"])
+], ids=["batch_total_time", "batch_boundary_sums"])
 def test_sweep_cap_raises_budget_error(sampler_exp, monkeypatch, side, run):
     # l stays put, so a sweep never absorbs; for the left sweep the first
     # draw (the right sweep's boundary site) absorbs at once
@@ -165,27 +155,11 @@ def test_window_sweep_has_no_cap(sampler_exp, monkeypatch):
 # -- bit-identity against the five hand-written sweeps ---------------------------
 #
 # The _ref_* functions keep the per-method sweeps the sampler had before its one
-# sweep engine, and _ref_lminus the per-site l- loop; the engine and its
-# consumers must reproduce their outputs exactly.
-
-
-def _ref_lminus(x, m, site_lo, lplus):
-    n = len(lplus)
-    lminus = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        y = site_lo + i
-        if y <= x:
-            lminus[i] = lplus[i - 1] if i >= 1 else 0
-        elif y == x + 1:
-            lminus[i] = m - 1 if x == 0 else m
-        elif y <= 0:
-            lminus[i] = lplus[i - 1] + 1
-        else:
-            lminus[i] = lplus[i - 1]
-    return lminus
+# sweep engine; the engine and its consumers must reproduce their outputs exactly.
 
 
 def _ref_profile(s, x, m, seed):
+    """(site_lo, l+ at sites site_lo.., T) of one profile, drawn site by site."""
     rng = _as_generator(seed)
     right_vals = []
     idx = s._boundary_index(x, m)
@@ -209,7 +183,7 @@ def _ref_profile(s, x, m, seed):
         left_vals.append(l)
     site_lo = x - len(left_vals)
     lplus = np.array(left_vals[::-1] + [m] + right_vals, dtype=np.int64)
-    return site_lo, lplus, _ref_lminus(x, m, site_lo, lplus), 2 * int(lplus.sum()) + abs(x) - 1
+    return site_lo, lplus, 2 * int(lplus.sum()) + abs(x) - 1
 
 
 def _ref_window(s, x, m, R, seed, y_lo, y_hi):
@@ -351,23 +325,13 @@ def sampler(request, sampler_exp, sampler_ramp):
 @pytest.mark.parametrize("x", [0, -1, -4])
 @pytest.mark.parametrize("m", [1, 2, 7, 40])
 def test_sample_profile_matches_reference(sampler, x, m):
+    # one replica of the window and total-time sweeps makes the one-profile reference's draws
     for seed in range(12):
-        prof = sampler.sample_profile(x, m, seed=seed)
-        site_lo, lplus, lminus, T = _ref_profile(sampler, x, m, seed)
-        assert prof.site_lo == site_lo and prof.T == T
-        assert np.array_equal(prof.lplus, lplus) and np.array_equal(prof.lminus, lminus)
-
-
-@pytest.mark.parametrize("x", [0, -1, -4])
-@pytest.mark.parametrize("m", [1, 3, 25])
-def test_derive_lminus_matches_reference(sampler_exp, x, m):
-    rng = np.random.default_rng(100 - x)
-    for n_left in (0, 1, 5):
-        for n_right in range(abs(x) + 1, abs(x) + 8):
-            lplus = rng.integers(0, 3 * m + 2, size=n_left + 1 + n_right)
-            site_lo = x - n_left
-            assert np.array_equal(sampler_exp._derive_lminus(x, m, site_lo, lplus),
-                                  _ref_lminus(x, m, site_lo, lplus))
+        site_lo, lplus, T = _ref_profile(sampler, x, m, seed)
+        sites = range(site_lo, site_lo + len(lplus))
+        got = sampler.batch_profile_window(x, m, 1, seed, sites[0], sites[-1])
+        assert [int(got[y][0]) for y in sites] == lplus.tolist()
+        assert sampler.batch_total_time(x, m, 1, seed).tolist() == [T]
 
 
 @pytest.mark.parametrize("x,m,y_lo,y_hi", [
@@ -391,16 +355,17 @@ def test_profile_window_matches_reference(sampler, x, m, y_lo, y_hi):
 @given(x=st.sampled_from([0, -1, -3]), m=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
        y_lo=st.integers(-30, 4), width=st.integers(0, 40))
 def test_one_replica_window_matches_single_profile(sampler_exp, x, m, seed, y_lo, width):
-    # one replica of the windowed sweep makes the single profile's draws in the same order: its right
-    # sites always agree, and its left sites once the right sweep ran as far as the single profile's
+    # one replica of the windowed sweep makes the one-profile reference's draws in the same order: its
+    # right sites always agree, and its left sites once the right sweep ran as far as the reference's
     y_hi = y_lo + width
-    single = sampler_exp.sample_profile(x, m, seed)
+    site_lo, lplus, _ = _ref_profile(sampler_exp, x, m, seed)
+    single = dict(zip(range(site_lo, site_lo + len(lplus)), lplus.tolist()))
     got = sampler_exp.batch_profile_window(x, m, 1, seed, y_lo, y_hi)
-    whole = y_hi >= single.sites()[-1]
+    whole = y_hi >= site_lo + len(lplus) - 1
     assert sorted(got) == list(range(y_lo, y_hi + 1))
     for y in got:
         if y > x or whole:
-            assert got[y].tolist() == [single.l_plus(y)], y
+            assert got[y].tolist() == [single.get(y, 0)], y
 
 
 def test_profile_window_keeps_to_the_window(sampler_exp):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from srrw import vectorwalk as vw
 from srrw import (
     WeightFunction,
     extract_eta_sequence,
@@ -105,6 +106,15 @@ def test_range_extremes_only_right(w_exp):
     t = make_trajectory(w_exp, [1, 1])
     rho, lam = range_extremes(t, 2)
     assert rho == 1 and lam is None
+
+
+@pytest.mark.parametrize("direction", ["plus", "minus", "Plus", "", 1])
+def test_direction_must_be_plus_or_minus(w_exp, direction):
+    t = make_trajectory(w_exp, [1, -1, 1])
+    for run in (lambda: inverse_local_time(t, 0, 0, direction), lambda: extract_eta_sequence(t, 0, direction),
+                lambda: vw.kernel_transition_samples(w_exp, 0, direction, 4, seed=1)):
+        with pytest.raises(ValueError, match="direction must be"):
+            run()
 
 
 def test_eta_extraction_first_right_departure(w_exp):

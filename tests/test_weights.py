@@ -82,6 +82,9 @@ def test_parse_rejects_garbage():
         WeightFunction.parse("exp:abc")
     with pytest.raises(InvalidWeightError):
         WeightFunction.parse("nope:1")
+    for text in ("exponential:1", "linear_ramp:1:1", "linear-ramp:1:1"):  # only exp:, ramp: and table:
+        with pytest.raises(InvalidWeightError, match="unknown weight spec"):
+            WeightFunction.parse(text)
 
 
 @given(values=st.lists(st.floats(0.1, 10.0), min_size=2, max_size=8))
