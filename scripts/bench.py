@@ -11,16 +11,19 @@ concurrently on two threads through `harness.map_blocks`, as the endpoint
 campaign runs them (CPU time and a sha256 of both blocks' positions), of one
 single-threaded `vectorwalk.edge_hit_times` block of WALK_REPLICAS walks at
 the n=24 inverse-time campaign's edge, levels and t_cap = 576, the driver
-with a retiring hook (a sha256 of the hit times), each walk case with its
-peak RSS and the part of it above the high-water mark the imports left, of
-one single-threaded `RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
+with a retiring hook (a sha256 of the hit times), of two such blocks run
+concurrently on two threads through `harness.map_blocks`, as the
+inverse-time campaign's walk cross-check runs them (CPU time and a sha256 of
+both blocks' hit times), each walk case with its peak RSS and the part of it
+above the high-water mark the imports left, of one single-threaded
+`RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
 RK_LEVELS on exp:1 (profiles/s, the time and count of the
-`MarginalTable.draw` calls inside it, draws/s, and a sha256 of the totals,
-which must agree between trees), of one single-threaded
-`RayKnightSampler.batch_tail_events(TAIL_M, TAIL_REPLICAS)` block at the
-tail campaign's g = log^2 m (the same draw figures, and a sha256 of the
-event counts), of the exp:1 stationary solve and marginal-table build on the
-sampler's (-40, 40) window, ETA_BUILDS times from a fresh kernel (the mean
+`MarginalTable.draw` calls inside it, draws/s, the minor page faults of the
+blocks, and a sha256 of the totals, which must agree between trees), of one
+single-threaded `RayKnightSampler.batch_tail_events(TAIL_M, TAIL_REPLICAS)`
+block at the tail campaign's g = log^2 m (the same draw and fault figures,
+and a sha256 of the event counts), of the exp:1 stationary solve and
+marginal-table build on the sampler's (-40, 40) window, ETA_BUILDS times from a fresh kernel (the mean
 time of each per build, with the solve's iterations, the table's rows and a
 sha256 of both laws), of one `eta.sample_eta_chain` run of
 ETA_CHAIN_STEPS steps on exp:1 (steps/s and a sha256 of the states), and of
@@ -130,6 +133,20 @@ def child_edge() -> dict:
     }
 
 
+def child_edge2() -> dict:
+    def run(w, harness, vw):
+        return harness.map_blocks(2 * WALK_REPLICAS, WALK_REPLICAS, 2, lambda b, count: vw.edge_hit_times(
+            w, EDGE_SITE, RK_LEVELS, count, harness.substream(1, b), t_cap=EDGE_T_CAP))
+
+    blocks, res = _walk_case(run)
+    return {
+        **res,
+        "unfinished": sum(len(unfinished) for _, _, unfinished in blocks),
+        "times_sha256": hashlib.sha256(b"".join(times.tobytes() + unfinished.tobytes()
+                                                for times, _, unfinished in blocks)).hexdigest(),
+    }
+
+
 def _timed_sampler():
     """An exp:1 sampler whose MarginalTable.draw calls are timed and counted."""
     from srrw.rayknight import RayKnightSampler
@@ -150,15 +167,22 @@ def _timed_sampler():
     return sampler, timer
 
 
+def _minflt() -> int:
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def child_rayknight() -> dict:
     from srrw.harness import substream
 
     sampler, timer = _timed_sampler()
-    t0 = time.perf_counter()
+    f0, t0 = _minflt(), time.perf_counter()
     totals = [sampler.batch_total_time(-1, m, RK_REPLICAS, substream(1, m)) for m in RK_LEVELS]
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
+        "minflt": _minflt() - f0,
         "profiles_per_s": RK_REPLICAS * len(RK_LEVELS) / wall,
         **timer,
         "draws_per_s": timer["draws"] / timer["draw_s"],
@@ -171,11 +195,12 @@ def child_tails() -> dict:
 
     sampler, timer = _timed_sampler()
     g_m = math.log(TAIL_M) ** 2  # the tail campaign's growth function
-    t0 = time.perf_counter()
+    f0, t0 = _minflt(), time.perf_counter()
     events = sampler.batch_tail_events(TAIL_M, TAIL_REPLICAS, substream(1, TAIL_M), g_m)
     wall = time.perf_counter() - t0
     return {
         "wall_s": wall,
+        "minflt": _minflt() - f0,
         **timer,
         "draws_per_s": timer["draws"] / timer["draw_s"],
         "events_sha256": hashlib.sha256(json.dumps(events, sort_keys=True).encode()).hexdigest(),
@@ -312,7 +337,8 @@ def summary(samples: list) -> dict:
     out = {"samples": samples}
     for key in samples[0]:
         vals = [s[key] for s in samples]
-        out[key] = statistics.median(vals) if isinstance(vals[0], float) else vals[0]
+        numeric = isinstance(vals[0], (int, float)) and not isinstance(vals[0], bool)
+        out[key] = statistics.median(vals) if numeric else vals[0]
     return out
 
 
@@ -331,6 +357,8 @@ def main(argv=None) -> int:
             res = child_walk2()
         elif args.child[0] == "edge":
             res = child_edge()
+        elif args.child[0] == "edge2":
+            res = child_edge2()
         elif args.child[0] == "rayknight":
             res = child_rayknight()
         elif args.child[0] == "tails":
@@ -353,7 +381,7 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["rayknight"], ["tails"], ["stationary"], ["eta_chain"],
+    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["edge2"], ["rayknight"], ["tails"], ["stationary"], ["eta_chain"],
              ["lclt"]]
     cases += [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
@@ -380,6 +408,7 @@ def main(argv=None) -> int:
             "final_positions": summary(samples[label]["walk"]),
             "final_positions_2threads": summary(samples[label]["walk2"]),
             "edge_hit_times": summary(samples[label]["edge"]),
+            "edge_hit_times_2threads": summary(samples[label]["edge2"]),
             "batch_total_time": summary(samples[label]["rayknight"]),
             "batch_tail_events": summary(samples[label]["tails"]),
             "stationary_and_table": summary(samples[label]["stationary"]),
@@ -395,6 +424,8 @@ def main(argv=None) -> int:
         "walk2": {"blocks": 2, "replicas_per_block": WALK_REPLICAS, "steps": WALK_STEPS, "threads": 2},
         "edge": {"replicas": WALK_REPLICAS, "edge_site": EDGE_SITE, "levels": list(RK_LEVELS),
                  "t_cap": EDGE_T_CAP, "threads": 1},
+        "edge2": {"blocks": 2, "replicas_per_block": WALK_REPLICAS, "edge_site": EDGE_SITE, "levels": list(RK_LEVELS),
+                  "t_cap": EDGE_T_CAP, "threads": 2},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
         "stationary": {"w": "exp:1", "window": list(ETA_WINDOW), "builds": ETA_BUILDS},
@@ -412,8 +443,13 @@ def main(argv=None) -> int:
                  ("walk2", "peak_rss_mb"): "final_positions_2threads_peak_rss",
                  ("edge", "wall_s"): f"edge_hit_times_R{WALK_REPLICAS}_T{EDGE_T_CAP}",
                  ("edge", "peak_rss_mb"): "edge_hit_times_peak_rss",
+                 ("edge2", "wall_s"): f"edge_hit_times_2threads_R{2 * WALK_REPLICAS}_T{EDGE_T_CAP}",
+                 ("edge2", "cpu_s"): "edge_hit_times_2threads_cpu",
+                 ("edge2", "peak_rss_mb"): "edge_hit_times_2threads_peak_rss",
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
+                 ("rayknight", "minflt"): "batch_total_time_minflt",
+                 ("tails", "minflt"): "batch_tail_events_minflt",
                  ("tails", "wall_s"): f"batch_tail_events_m{TAIL_M}_R{TAIL_REPLICAS}",
                  ("stationary", "stationary_s"): "stationary_distribution",
                  ("stationary", "table_s"): "marginal_law_table",

@@ -220,14 +220,18 @@ class MarginalTable:
 
     Draws invert the CDFs with a guide table (Chen & Asau 1974).  The lookup
     rows are rows 0..j_star-1 of the table and then the stationary law as
-    row j_star; index idx reads row r = min(idx, j_star).  Row j < j_star is
-    compared in the rounded space the draws have always used: it holds
-    2j + cdf and a uniform u becomes q = 2j + u, so a draw is the first entry
-    above q.  The stationary row holds its CDF and compares against u itself.
-    Entries whose CDF has reached 1 hold +inf, so the scan stops inside the
-    row even when 2j + u rounds up to 2j + 1; that draw returns the row's
-    last state with mass.  guide[r, k] is the first entry above 2r + k/K
-    (k/K for the stationary row), a start the scan only moves forward from.
+    row j_star; index idx reads row r = min(idx, j_star).  A draw takes the
+    53-bit numerator x of the uniform u = x 2^-53 that `rng.random` would
+    return, and keeps the rounded comparison the draws have always used:
+    row j < j_star is searched for the first entry whose 2j + cdf lies above
+    q = fl(2j + u), the stationary row for the first cdf above u.  As q
+    grows with x, "entry e lies at or below q" is "x >= tau_e", for the
+    smallest such x, found once per entry by bisection; the scan compares
+    integers.  Entries whose CDF has reached 1 never lie below q, so the scan
+    stops inside the row even when 2j + u rounds up to 2j + 1; that draw
+    returns the row's last state with mass.  guide[r, k] is the first entry
+    above 2r + k/K (k/K for the stationary row), which every x with
+    x >> 43 == k lies at or beyond: a start the scan only moves forward from.
     """
 
     lo: int
@@ -235,41 +239,43 @@ class MarginalTable:
     nu_cdf: np.ndarray
     j_star: int
     tv_at_cutoff: float
-    _off: np.ndarray = field(init=False, repr=False)
-    _cmp: np.ndarray = field(init=False, repr=False)
+    _tau: np.ndarray = field(init=False, repr=False)
     _guide: np.ndarray = field(init=False, repr=False)
     _state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows = np.vstack([self.cdfs[: self.j_star], self.nu_cdf])
         width = rows.shape[1]
-        self._off = 2.0 * np.arange(len(rows))
-        self._off[-1] = 0.0
-        cmp = np.where(rows < 1.0, self._off[:, None] + rows, np.inf)
+        off = 2.0 * np.arange(len(rows))
+        off[-1] = 0.0
+        cmp = np.where(rows < 1.0, off[:, None] + rows, np.inf)
         grid = np.arange(GUIDE_K) / GUIDE_K
         self._guide = np.concatenate([
-            j * width + np.searchsorted(c, off + grid, side="right")
-            for j, (c, off) in enumerate(zip(cmp, self._off))
+            j * width + np.searchsorted(c, o + grid, side="right")
+            for j, (c, o) in enumerate(zip(cmp, off))
         ])
-        self._cmp = cmp.ravel()
+        # tau: the smallest x < 2^53 with fl(off + x 2^-53) >= cmp, else 2^53
+        lo, hi = np.zeros(cmp.shape, dtype=np.int64), np.full(cmp.shape, 2**53, dtype=np.int64)
+        for _ in range(54):
+            mid = (lo + hi) // 2
+            above = off[:, None] + mid * 2.0**-53 >= cmp
+            hi, lo = np.where(above, mid, hi), np.where(above, lo, mid + 1)
+        self._tau = hi.ravel()
         self._state = np.tile(self.lo + np.arange(width), len(rows))
 
     def draw(self, idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """One chain value per entry: entry i is distributed as state after
         idx[i] steps from 0 (stationary beyond the cutoff)."""
-        u = rng.random(len(idx))
-        r = np.minimum(idx, self.j_star)
-        q = self._off.take(r)
-        q += u
-        # off + floor(u K)/K is a float no larger than off + u, so rounding
-        # keeps it <= q: every entry before the guide's start is <= q
-        g = r * GUIDE_K
-        g += (u * GUIDE_K).astype(np.intp)
+        x = rng.bit_generator.random_raw(len(idx))
+        x >>= 11  # as uint64: the numerator of rng.random's u
+        x = x.view(np.int64)
+        g = np.minimum(idx, self.j_star) * GUIDE_K
+        g += x >> 43  # the guide cell floor(u K)
         pos = self._guide.take(g)
-        act = np.flatnonzero(self._cmp.take(pos) <= q)
+        act = np.flatnonzero(self._tau.take(pos) <= x)
         while len(act):
             pos[act] += 1
-            act = act[self._cmp.take(pos[act]) <= q[act]]
+            act = act[self._tau.take(pos[act]) <= x[act]]
         return self._state.take(pos)
 
 

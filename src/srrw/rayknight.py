@@ -55,7 +55,9 @@ class RayKnightSampler:
 
     def _advance(self, idx: np.ndarray, rng) -> np.ndarray:
         """l-value transition: idx + (chain state after idx steps)."""
-        return idx + self.table.draw(idx, rng)
+        out = self.table.draw(idx, rng)
+        out += idx
+        return out
 
     def _boundary_index(self, x: int, m: int) -> int:
         return m - 1 if x == 0 else m
@@ -153,7 +155,7 @@ class RayKnightSampler:
         """Total time T = T+_{x,m} per replica, via T = 2 sum_y l+(T,y) + |x| - 1."""
         total = np.full(replicas, m, dtype=np.int64)
         for _, _, act, lact in self._sweep(x, m, replicas, _as_generator(seed)):
-            total[act] += lact
+            np.add.at(total, act, lact)  # act holds each replica once; faster than total[act] += lact
         return 2 * total + abs(x) - 1
 
     def batch_boundary_sums(self, x: int, m: int, replicas: int, seed, boundary: float):

@@ -223,14 +223,20 @@ def _ref_draw(table, idx, rng):
 
 
 class _FixedUniforms:
-    """Generator stand-in whose random(n) returns preset uniforms."""
+    """Generator stand-in whose random(n) returns preset uniforms, and whose
+    bit generator's random_raw(n) the 64-bit outputs random(n) makes them from."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=np.float64)
+        self.bit_generator = self
 
     def random(self, n):
         assert n == len(self.u)
         return self.u.copy()
+
+    def random_raw(self, n):
+        assert n == len(self.u)
+        return (self.u * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
 @pytest.mark.parametrize("sampler", ["sampler_exp", "sampler_ramp"])
@@ -247,27 +253,29 @@ def test_draw_matches_reference_stream(sampler, request):
 
 @pytest.mark.parametrize("sampler", ["sampler_exp", "sampler_ramp"])
 def test_draw_matches_reference_on_breakpoints(sampler, request):
-    # uniforms exactly on and one ulp below every CDF value of every row,
-    # where the rounded comparison 2j + u decides between neighbours; only
-    # where 2j + u rounds to 2j + 1 did the earlier draw leave the window
+    # the uniforms x 2^-53 at x = tau - 1 and x = tau for every entry of
+    # every row, +inf entries and the stationary row included: the values
+    # the generator can produce on either side of each threshold, where the
+    # rounded comparison 2j + u decides between neighbours; only where
+    # 2j + u rounds to 2j + 1 did the earlier draw leave the window
     table = request.getfixturevalue(sampler).table
-    js = table.j_star
-    idx, u, rounds_up = [], [], []
-    rows = [(j, 2.0 * j, table.cdfs[j]) for j in range(js)]
-    rows += [(js, 0.0, table.nu_cdf), (js + 7, 0.0, table.nu_cdf)]
-    for j, off, cdf in rows:
-        on = np.unique(cdf[cdf < 1.0])
-        for v in np.concatenate([on, np.nextafter(on, 0.0)]):
-            if v >= 0.0:
+    js, width = table.j_star, table.cdfs.shape[1]
+    tau = table._tau.reshape(js + 1, width)
+    assert (tau[:js, -1] == 2**53).all() and tau[js, -1] == 2**53  # the last entry holds cdf 1
+    idx, x = [], []
+    for j in [*range(js), js, js + 7]:
+        for v in np.concatenate([tau[min(j, js)] - 1, tau[min(j, js)]]):
+            if 0 <= v < 2**53:
                 idx.append(j)
-                u.append(v)
-                rounds_up.append(off + v == off + 1.0)
-    idx, rounds_up = np.array(idx, dtype=np.int64), np.array(rounds_up)
-    assert len(idx) > 10 * js
+                x.append(int(v))
+    idx, u = np.array(idx, dtype=np.int64), np.array(x, dtype=np.float64) * 2.0**-53
+    assert len(idx) > width * js
+    off = np.where(idx < js, 2.0 * idx, 0.0)
+    rounds_up = off + u == off + 1.0
     got = table.draw(idx, _FixedUniforms(u))
     want = _ref_draw(table, idx, _FixedUniforms(u))
     assert np.array_equal(got[~rounds_up], want[~rounds_up])
-    assert (want[rounds_up] == table.lo + table.cdfs.shape[1]).all()
+    assert rounds_up.any() and (want[rounds_up] == table.lo + width).all()
     last_with_mass = table.lo + np.argmax(table.cdfs >= 1.0, axis=1)
     assert np.array_equal(got[rounds_up], last_with_mass[idx[rounds_up]])
 

@@ -425,3 +425,91 @@ def test_int16_state_matches_int8(w_exp):
     for walk in (edge, wide):
         assert np.array_equal(walk.positions(), narrow.positions())
         assert np.array_equal(walk.D, narrow.D) and np.array_equal(walk.LP, narrow.LP)
+
+
+# -- positioned draws, events and compaction inside a tile -----------------------
+
+
+def _philox_state(bg):
+    st = bg.state
+    return (st["state"]["counter"].tolist(), st["state"]["key"].tolist(), st["buffer"].tolist(),
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.one_of(st.integers(1, 40), st.integers(vw.CHUNK - 3, vw.CHUNK + 5),
+                   st.integers(2 * vw.CHUNK + 1, 2 * vw.CHUNK + 40)),
+       k=st.integers(1, vw.TILE), pre=st.integers(0, 9), buffer_pos=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_positioned_draws_match_per_step_calls(n, k, pre, buffer_pos, seed):
+    # n below CHUNK, about CHUNK and with a ragged last chunk, n % 4 of every
+    # value, every starting buffer_pos: a tile read chunk by chunk gives the
+    # draws of k per-step random(n) calls, and leaves the generator as they do
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.random(pre)
+    state = rng.bit_generator.state
+    state["buffer_pos"] = buffer_pos
+    rng.bit_generator.state = state
+    ref = np.random.Generator(np.random.Philox(0))
+    ref.bit_generator.state = state
+    want = np.array([ref.random(n) for _ in range(k)])
+    stream = vw._Stream(rng)
+    got = np.empty((k, n))
+    for c in range(0, n, vw.CHUNK):
+        for j, u in enumerate(stream.tile(n, k, c, vw.CHUNK)):
+            got[j, c : c + len(u)] = u
+    assert np.array_equal(got, want)
+    assert _philox_state(rng.bit_generator) == _philox_state(ref.bit_generator)
+
+
+@pytest.fixture
+def compactions(monkeypatch):
+    """(j, k) of every compaction: at step j (from 0) of a k-step tile."""
+    seen = []
+    real = vw._Lockstep._compact
+
+    def spy(self):
+        seen.append((self.j, self.k))
+        real(self)
+
+    monkeypatch.setattr(vw._Lockstep, "_compact", spy)
+    return seen
+
+
+def test_bit_identity_inputs_compact_inside_tiles(weight, compactions):
+    # the inputs of test_edge_hit_times_bit_identical and
+    # test_kernel_transition_samples_bit_identical compact at steps that are
+    # not a tile's last, so those tests cover the taking back
+    vw.edge_hit_times(weight, 0, [1, 2, 3], 3000, substream(41, 0), t_cap=50_000, capture_window=(-3, 4))
+    assert any(j < k - 1 for j, k in compactions)
+    compactions.clear()
+    for state in (0, 3, -3):
+        for direction in ("+", "-"):
+            seed = substream(43, state + 10, 0 if direction == "+" else 1)
+            vw.kernel_transition_samples(weight, state, direction, 2000, seed)
+    assert any(j < k - 1 for j, k in compactions)
+
+
+def test_compaction_at_tile_end_and_inside_tile(w_exp, compactions):
+    # a hook that retires chosen replicas at steps 3 and 9: step 3 is the last
+    # of the tile of steps 2-3, and after that compaction tiles restart at one
+    # step, so step 9 is the third of the tile of steps 7-10; the walk must
+    # match the per-step reference compacted at the same steps
+    replicas, steps, width, dmax = 1000, 20, 200, 96
+    retire = {3: lambda ids: ids % 2 == 0, 9: lambda ids: ids % 4 == 1}
+    seed = substream(46, 0)
+    walk = vw._Lockstep(w_exp, replicas, width, dmax, seed, want_lplus=True)
+    walk.run(steps, (0, 1), lambda t, rows: np.flatnonzero(retire[t](walk.idx)) if t in retire else None)
+    assert compactions == [(1, 2), (2, 4)]
+    ref = _RefBatch(w_exp, replicas, width, dmax, seed, want_lplus=True)
+    idx = np.arange(replicas)
+    for t in range(1, steps + 1):
+        ref.step()
+        if t in retire:
+            keep = ~retire[t](idx)
+            ref.compact(keep)
+            idx = idx[keep]
+    assert np.array_equal(walk.idx, idx)
+    assert np.array_equal(walk.positions(), ref.pos)
+    assert np.array_equal(walk.D.reshape(len(idx), width), ref.D)
+    assert np.array_equal(walk.LP.reshape(len(idx), width), ref.LP)
