@@ -31,14 +31,13 @@ from .eta import (
     sample_eta_chain,
     stationary_distribution,
 )
-from .scaling import ScalingParams, beta_n, scaling_params, theta
+from .scaling import beta_n, theta
 from .rayknight import RayKnightSampler
 from .lclt import (
     BivariatePMF,
     ConvolutionBoundReport,
     GaussianComparison,
     ZeroMassError,
-    cond_sum_lclt_bound,
     conditional_sup_error,
     convolution_lowerbound_check,
     exact_bivariate_pmf,

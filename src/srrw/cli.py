@@ -32,7 +32,7 @@ TOLERANCE_ERROR = 1
 ARG_RANGES = {
     "simulate": [("steps", ">=", 0), ("seed", ">=", 0)],
     "stationary": [("window", ">=", 1)],
-    "profile": [("x", "<=", 0), ("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1), ("seed", ">=", 0)],
+    "profile": [("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1), ("seed", ">=", 0)],
     "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf), ("stride", ">=", 0)],
 }
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
@@ -118,7 +118,7 @@ def cmd_profile(args) -> int:
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
     outdir = _start(args, config, args.seed)
     sampler = RayKnightSampler(args.w)
-    y_lo, y_hi = args.x - 2 * args.m - 64, 2 * args.m + 64
+    y_lo, y_hi = min(args.x, 0) - 2 * args.m - 64, max(args.x, 0) + 2 * args.m + 64
 
     def block(b, count):
         return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)

@@ -248,8 +248,6 @@ class InverseTimeConfig(CampaignConfig):
             raise CampaignConfigError(f"inverse_time: n={self.n} must be >= 1")
         if (self.x - self.n * self.n) % 2 != 0:
             raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
-        if self.x > 1:
-            raise CampaignConfigError(f"inverse_time: x={self.x} must be <= 1, so that the sampled edge x - 1 is <= 0")
         if not self.levels():
             raise CampaignConfigError(f"inverse_time: no c target gives a level m >= 1 at n={self.n}, x={self.x}")
 

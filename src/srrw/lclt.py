@@ -532,22 +532,3 @@ def convolution_lowerbound_check(
     j = int(np.argmax(margins))
     return ConvolutionBoundReport(True, "ok", float(margins[i]), int(zs[i]), len(zs), const,
                                   max_margin=float(margins[j]), argmax_z=int(zs[j]))
-
-
-def cond_sum_lclt_bound(params, a: float, a_prime: float, b: float, K: float, eps: float) -> float:
-    """Predicted lower bound for the conditional sum local CLT at scale n:
-
-      (2 / (sqrt(pi beta_n) n^{3/2})) [exp(-(4/beta_n)(a/2sqrt(n)
-          + a'/2 N_x^{3/2} - b/n^{3/2})^2) - eps]
-    """
-    n = params.n
-    if abs(a) > K * math.sqrt(n):
-        raise ValueError("a out of range")
-    if abs(a_prime) > K * math.sqrt(max(params.N_x, 0.0)):
-        raise ValueError("a' out of range")
-    if abs(b) > (K / 9.0) * n**1.5:
-        raise ValueError("b out of range")
-    z = a / (2.0 * math.sqrt(n)) + a_prime / (2.0 * params.N_x**1.5) - b / n**1.5
-    return 2.0 / (math.sqrt(math.pi * params.beta_n) * n**1.5) * (
-        math.exp(-(4.0 / params.beta_n) * z * z) - eps
-    )

@@ -1,20 +1,23 @@
 """Local-time profiles at inverse local times, sampled without the walk.
 
-For x <= 0 and T = T+_{x,m} (first time the edge x -> x+1 is crossed m
-times) the profile y -> l+(T, y) is a spatial Markov chain driven by one
-independent embedded chain per site, each read at a single index:
+For an edge x of either sign and T = T+_{x,m} (first time the edge
+x -> x+1 is crossed m times) the profile y -> l+(T, y) is a spatial Markov
+chain driven by one independent embedded chain per site, each read at a
+single index.  A sweep draws l = idx + eta_s[idx] at each site s in turn:
 
-  right of x:  l(s) = idx(s) + eta_s[idx(s)]
-      idx(x+1) = m        for x < 0   (the walk stands at x+1; its site
-      idx(x+1) = m - 1    for x = 0    chain has exactly idx completed
-                                       opposite-direction departures)
-      idx(s)   = l(s-1) + 1   for x+1 < s <= 0
-      idx(s)   = l(s-1)       for s >= 1, absorbing at 0
-  left of x:   l(t) = l(t+1) + eta_t+1[l(t+1)], absorbing at 0.
+  right of x, from x+1 at idx = m - (x >= 0) (the walk stands at x+1; its
+  site chain has exactly idx completed opposite-direction departures):
+      s < 0:   passes; l(s) is the draw, idx(s+1) = l(s) + 1
+      s >= 0:  l(s) is the draw, idx(s+1) = l(s), absorbing at 0
+  left of x, from x-1 at idx = m:
+      s >= 0:  passes; l(s) = draw + 1 (the walk ends right of s, so
+               it crossed s -> s+1 once more than back), idx(s-1) = l(s)
+      s < 0:   l(s) is the draw, idx(s-1) = l(s), absorbing at 0.
 
-Because each site chain is consulted at one index only, drawing from the
-per-index marginal laws (exact up to the mixing cutoff, stationary beyond)
-reproduces the exact joint profile law.
+Since T ends at x+1, T = 2 sum_y l+(T, y) - x - 1.  Because each site chain
+is consulted at one index only, drawing from the per-index marginal laws
+(exact up to the mixing cutoff, stationary beyond) reproduces the exact
+joint profile law.
 """
 
 from __future__ import annotations
@@ -59,9 +62,6 @@ class RayKnightSampler:
         out += idx
         return out
 
-    def _boundary_index(self, x: int, m: int) -> int:
-        return m - 1 if x == 0 else m
-
     # -- the sweep engine -----------------------------------------------------
 
     def _sweep(self, x: int, m: int, R: int, rng, right_end=None, left_end=None):
@@ -70,29 +70,35 @@ class RayKnightSampler:
         Yields (side, site, act, lact) once per site: act indexes the
         replicas still alive, in their current order, and lact holds their
         l-values at the site, drawn by one `_advance` call, zeros not yet
-        dropped.  A side stops after its end site, or on absorption; a side
-        with no end runs to absorption and raises SimulationBudgetError past
-        4m + |x| + ABSORB_CAP_SLACK sites.  The site rules hold for m >= 1
-        and x <= 0 only; other inputs raise ValueError.
+        dropped.  The right sweep starts at index m - (x >= 0), the left at
+        m.  A site passes when it lies between the origin and the walk's end
+        at x+1: right sites s < 0 yield the draw l and hand on l + 1, left
+        sites s >= 0 yield and hand on l + 1; neither absorbs.  Every other
+        site yields l, hands it on and absorbs at 0.  A side stops after its
+        end site, or on absorption; a side with no end runs to absorption
+        and raises SimulationBudgetError past 4m + |x| + ABSORB_CAP_SLACK
+        sites.  m < 1 raises ValueError.
         """
-        if m < 1 or x > 0:
-            raise ValueError(f"need m >= 1 and x <= 0, not m={m}, x={x}")
+        if m < 1:
+            raise ValueError(f"need m >= 1, not m={m}")
         cap = 4 * m + abs(x) + ABSORB_CAP_SLACK
-        for side, step, end, idx in (("right", 1, right_end, self._boundary_index(x, m)),
-                                     ("left", -1, left_end, m)):
+        for side, step, end, idx in (("right", 1, right_end, m - (x >= 0)), ("left", -1, left_end, m)):
             act = np.arange(R)
             lact = np.full(R, idx, dtype=np.int64)
             site = x + step
             while len(act) and (end is None or step * (end - site) >= 0):
                 lact = self._advance(lact, rng)
+                passes = site < 0 if step > 0 else site >= 0
+                if passes and step < 0:
+                    lact += 1
                 yield side, site, act, lact
                 if end is None and abs(site - x) > cap:
                     raise SimulationBudgetError(f"{side} sweep failed to absorb within cap")
-                if step > 0 and site < 0:
-                    lact = lact + 1  # idx = l + 1 on (x, 0], never absorbing
-                else:
+                if not passes:
                     keep = lact > 0
                     act, lact = act[keep], lact[keep]
+                elif step > 0:
+                    lact = lact + 1
                 site += step
 
     # -- batch consumers of the sweep -----------------------------------------
@@ -152,11 +158,11 @@ class RayKnightSampler:
         }
 
     def batch_total_time(self, x: int, m: int, replicas: int, seed):
-        """Total time T = T+_{x,m} per replica, via T = 2 sum_y l+(T,y) + |x| - 1."""
+        """Total time T = T+_{x,m} per replica, via T = 2 sum_y l+(T,y) - x - 1."""
         total = np.full(replicas, m, dtype=np.int64)
         for _, _, act, lact in self._sweep(x, m, replicas, _as_generator(seed)):
             np.add.at(total, act, lact)  # act holds each replica once; faster than total[act] += lact
-        return 2 * total + abs(x) - 1
+        return 2 * total - x - 1
 
     def batch_boundary_sums(self, x: int, m: int, replicas: int, seed, boundary: float):
         """(W1, W2): profile mass beyond +-boundary at T+_{x,m}, per replica."""

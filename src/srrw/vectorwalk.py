@@ -373,4 +373,7 @@ def kernel_transition_samples(w: WeightFunction, eta_state: int, direction: str,
         walk.run(100_000, (0, want), on_event)
         return out[got], int((~got).sum())
 
-    return _retrying(run, 512, max(96, 4 * abs(eta_state) + 64))
+    # nearly every replica departs from 0 within a few dozen sites of it;
+    # start narrow and let the overflow retry widen on demand
+    reach = 4 * abs(eta_state) + 64
+    return _retrying(run, 2 * reach, max(96, reach))

@@ -79,6 +79,18 @@ def test_profile_command(tmp_path):
     assert by_y[0] == 3.0
 
 
+def test_profile_command_right_of_origin(tmp_path):
+    out = tmp_path / "p"
+    assert run_cli(["profile", "--w", "exp:1.0", "--x", "2", "--m", "3", "--replicas", "2000", "--out", str(out)]) == 0
+    with open(out / "profile.csv", newline="") as fh:
+        rows = {int(r["y"]): r for r in csv.DictReader(fh)}
+    # the window min(x, 0) - 2m - 64 .. max(x, 0) + 2m + 64 holds both sweeps
+    assert sorted(rows) == list(range(-70, 73))
+    # every replica reads l+ = m at the edge
+    assert (float(rows[2]["mean"]), float(rows[2]["se"]), float(rows[2]["zero_frac"])) == (3.0, 0.0, 0.0)
+    assert float(rows[-70]["mean"]) == float(rows[72]["mean"]) == 0.0
+
+
 def test_profile_threads_byte_identical(tmp_path):
     # three 65536-replica blocks, so the thread pool really splits the work
     common = ["profile", "--w", "exp:1.0", "--m", "2", "--replicas", "140000", "--seed", "5"]
@@ -140,12 +152,11 @@ def test_campaign_and_manifest_rerun(tmp_path):
     assert r1 == r2
 
 
-def test_inverse_time_campaign_writes_outputs(tmp_path):
-    out = tmp_path / "it"
+def _inverse_time_writes_outputs(out, x):
     code = run_cli([
         "campaign", "--kind", "inverse-time", "--seed", "3", "--replicas", "4000",
         "--param", "n=8", "--param", "c_targets=[0.0,1.0]", "--param", "cross_replicas=2000",
-        "--out", str(out),
+        "--param", f"x={x}", "--out", str(out),
     ])
     assert code in (0, 1)
     results = json.loads((out / "results.json").read_text())
@@ -160,6 +171,16 @@ def test_inverse_time_campaign_writes_outputs(tmp_path):
         for row in rows:
             for col, cell in row.items():
                 assert re.fullmatch(r"-?\d+(\.\d*)?(e[-+]\d+)?|-?inf|nan", cell), (name, col, cell)
+    assert {int(r["x"]) for r in results["tables"]["inverse_time"]} == {x}
+
+
+def test_inverse_time_campaign_writes_outputs(tmp_path):
+    _inverse_time_writes_outputs(tmp_path / "it", 0)
+
+
+def test_inverse_time_campaign_right_of_origin(tmp_path):
+    # x = 2 samples T+ at the edge 1 -> 2
+    _inverse_time_writes_outputs(tmp_path / "it", 2)
 
 
 def test_campaign_requires_kind_or_manifest(tmp_path):
@@ -246,8 +267,9 @@ def test_console_entry_point():
     pytest.param("--manifest", '{"kind": "inverse_time", "n": 4, "replicas": 10, "cross_replicas": -1}',
                  "inverse_time: cross_replicas=-1 must be >= 0", id="manifest-inverse-time-cross_replicas=-1"),
     ("lclt-table", "n=-4", "lclt_table: n=-4 must be >= 1"),
-    pytest.param("--manifest", '{"kind": "inverse_time", "n": 4, "x": 2, "replicas": 10, "cross_replicas": 10}',
-                 "inverse_time: x=2 must be <= 1", id="manifest-inverse-time-x=2"),
+    # x > 0 passes the config checks up to the levels check
+    pytest.param("--manifest", '{"kind": "inverse_time", "n": 4, "x": 2, "c_targets": [-10], "replicas": 10, '
+                 '"cross_replicas": 10}', "no c target gives a level m >= 1 at n=4, x=2", id="manifest-inverse-time-x=2"),
     ("wterms", "n_ladder=[1,4]", "wterms: the levels m = round(n/2) of n_ladder, [0, 2], must be >= 1"),
 ])
 def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, message):
@@ -271,7 +293,7 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     (["lclt", "--stride", "-3"], "--stride -3 must be >= 0"),
     (["simulate", "--w", "exp:1", "--steps", "-5"], "--steps -5 must be >= 0"),
     (["profile", "--w", "exp:1", "--m", "0"], "--m 0 must be >= 1"),
-    (["profile", "--w", "exp:1", "--m", "3", "--x", "1"], "--x 1 must be <= 0"),
+    (["profile", "--w", "exp:1", "--m", "0", "--x", "1"], "--m 0 must be >= 1"),  # --x 1 passes
     (["profile", "--w", "exp:1", "--m", "3", "--replicas", "0"], "--replicas 0 must be >= 1"),
     (["profile", "--w", "exp:1", "--m", "3", "--threads", "0"], "--threads 0 must be >= 1"),
     (["stationary", "--w", "exp:1", "--window", "-5"], "--window -5 must be >= 1"),

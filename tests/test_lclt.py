@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from srrw import (
     SupportBudgetError,
     ZeroMassError,
-    cond_sum_lclt_bound,
     conditional_sup_error,
     convolution_lowerbound_check,
     exact_bivariate_pmf,
     lclt_sup_error,
-    scaling_params,
     stationary_step_law,
 )
 from srrw.eta import Lattice1DDistribution
@@ -361,27 +359,3 @@ def test_convolution_bound_input_validation():
     with pytest.raises(ValueError):
         convolution_lowerbound_check(0, np.array([1.0]), 0, np.array([1.0]), M=4.0, eps=0.01,
                                      sigma1=20.0, sigma2=10.0)
-
-
-def test_cond_sum_bound_values():
-    p = scaling_params(400, 0, 0.0, alpha=0.75, sigma2=0.5)
-    center = cond_sum_lclt_bound(p, 0.0, 0.0, 0.0, K=2.0, eps=0.1)
-    assert center == pytest.approx(
-        2.0 / (math.sqrt(math.pi * p.beta_n) * 400**1.5) * 0.9, rel=1e-12
-    )
-    plus = cond_sum_lclt_bound(p, 10.0, 5.0, 100.0, K=2.0, eps=0.1)
-    minus = cond_sum_lclt_bound(p, -10.0, -5.0, -100.0, K=2.0, eps=0.1)
-    assert plus == pytest.approx(minus, rel=1e-12)
-    with pytest.raises(ValueError):
-        cond_sum_lclt_bound(p, 1e9, 0.0, 0.0, K=2.0, eps=0.1)
-
-
-def test_cond_sum_bound_x0_width_matches_sigma_form():
-    # at x = 0, beta = 4 s2/3 and the exponent equals -(3/s2) z^2
-    s2 = 0.61
-    p = scaling_params(100, 0, 0.0, alpha=0.75, sigma2=s2)
-    b = 40.0
-    z = -b / 100**1.5
-    got = cond_sum_lclt_bound(p, 0.0, 0.0, b, K=2.0, eps=0.0)
-    want = 2.0 / (math.sqrt(math.pi * p.beta_n) * 100**1.5) * math.exp(-(3.0 / s2) * z * z)
-    assert got == pytest.approx(want, rel=1e-12)

@@ -6,7 +6,8 @@ sha256 of every output file except manifest.json.  Every case runs on two
 threads with a block size small enough that several blocks run per point.
 
 inverse-time's scaled/predicted columns read sigma2, whose last bits depend on
-the BLAS build, so that kind pins its integer sampler hits and walk hits.
+the BLAS build, so that kind pins its integer sampler hits and walk hits, at
+x = 0 and at x = 2.
 
 Each campaign case is then re-run from its own manifest.json on one thread:
 the re-run's results.json records threads=1, and differs in nothing else.
@@ -41,6 +42,10 @@ CASES = {
     "inverse-time": ["campaign", "--kind", "inverse-time", "--seed", "105", "--replicas", "5000",
                      "--param", "n=8", "--param", "c_targets=[-0.5,0.0,1.0]",
                      "--param", "cross_replicas=3000", "--param", "block_size=1200", *TWO_THREADS],
+    # x = 2 samples the edge 1 -> 2, whose left sweep passes site 0
+    "inverse-time-x2": ["campaign", "--kind", "inverse-time", "--seed", "109", "--replicas", "5000",
+                        "--param", "n=8", "--param", "x=2", "--param", "c_targets=[-0.5,0.0,1.0]",
+                        "--param", "cross_replicas=3000", "--param", "block_size=1200", *TWO_THREADS],
     "wterms": ["campaign", "--kind", "wterms", "--seed", "106", "--replicas", "600",
                "--param", "n_ladder=[30,60]", "--param", "M=0.1", "--param", "block_size=256", *TWO_THREADS],
     "simulate": ["simulate", "--w", "exp:1.0", "--steps", "3000", "--seed", "107"],
@@ -59,6 +64,11 @@ PINNED = {
         "m": [3, 4, 7],
         "hits": [82, 146, 0],
         "walk_hits": [44, 88, 0],
+    },
+    "inverse-time-x2": {
+        "m": [2, 3, 6],
+        "hits": [15, 111, 5],
+        "walk_hits": [13, 57, 1],
     },
     "lclt-table": {
         "lclt_table.csv": "cef0ac0356a889cca3c37b228b45a56fae6b0e993b356881a6f537c62f7d0819",
@@ -88,7 +98,7 @@ PINNED = {
 
 
 def _digests(kind: str, outdir: Path) -> dict:
-    if kind == "inverse-time":
+    if kind.startswith("inverse-time"):
         tables = json.loads((outdir / "results.json").read_text())["tables"]
         return {
             "m": [r["m"] for r in tables["inverse_time"]],

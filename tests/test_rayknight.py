@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -20,13 +21,12 @@ def test_profile_anchors_at_m(sampler_exp):
 
 
 def test_profile_rejects_degenerate(sampler_exp):
-    # the site rules hold for m >= 1 and x <= 0; every consumer's sweep checks it
-    for x, m in ((0, 0), (1, 1)):
-        for run in (lambda: sampler_exp.batch_total_time(x, m, 4, seed=1),
-                    lambda: sampler_exp.batch_boundary_sums(x, m, 4, seed=1, boundary=2.0),
-                    lambda: sampler_exp.batch_profile_window(x, m, 4, seed=1, y_lo=-3, y_hi=3)):
-            with pytest.raises(ValueError, match="need m >= 1 and x <= 0"):
-                run()
+    # the site rule holds for m >= 1; every consumer's sweep checks it
+    for run in (lambda: sampler_exp.batch_total_time(0, 0, 4, seed=1),
+                lambda: sampler_exp.batch_boundary_sums(0, 0, 4, seed=1, boundary=2.0),
+                lambda: sampler_exp.batch_profile_window(0, 0, 4, seed=1, y_lo=-3, y_hi=3)):
+        with pytest.raises(ValueError, match="need m >= 1"):
+            run()
 
 
 def test_profile_absorbs_right_of_origin(sampler_exp):
@@ -69,20 +69,25 @@ def test_m2_law_at_site1_matches_enumeration(sampler_exp, w_exp):
         assert law.get(v, 0.0) - 4 * se <= freq <= law.get(v, 0.0) + leak + 4 * se
 
 
-def test_profile_vs_walk_law(sampler_exp, w_exp):
-    # the profile sampler reproduces the law of l+(T+_{0,m}, y) from walks
-    R = 120_000
-    m = 2
-    times, prof, unfin = vw.edge_hit_times(
-        w_exp, 0, [m], R, substream(11, 1), t_cap=200_000, capture_window=(-2, 3)
+def _walk_and_sampler_profiles(sampler, w, x, m, R, seed, y_lo, y_hi):
+    """{y: (walk values, sampler values)} of l+(T+_{x,m}, y) over R replicas each."""
+    _, prof, unfin = vw.edge_hit_times(
+        w, x, [m], R, substream(seed, 1), t_cap=200_000, capture_window=(y_lo, y_hi)
     )
     assert len(unfin) == 0
-    rk = sampler_exp.batch_profile_window(0, m, R, substream(11, 2), y_lo=-2, y_hi=3)
-    for iy, y in enumerate(range(-2, 4)):
-        a, b = prof[:, iy], rk[y]
-        hi = int(max(a.max(), b.max())) + 1
-        tv = 0.5 * np.abs(np.bincount(a, minlength=hi) / R - np.bincount(b, minlength=hi) / R).sum()
-        assert tv < 0.012, f"y={y} tv={tv}"
+    rk = sampler.batch_profile_window(x, m, R, substream(seed, 2), y_lo=y_lo, y_hi=y_hi)
+    return {y: (prof[:, iy], rk[y]) for iy, y in enumerate(range(y_lo, y_hi + 1))}
+
+
+def _tv(a, b):
+    hi = int(max(a.max(), b.max())) + 1
+    return 0.5 * np.abs(np.bincount(a, minlength=hi) / len(a) - np.bincount(b, minlength=hi) / len(b)).sum()
+
+
+def test_profile_vs_walk_law(sampler_exp, w_exp):
+    # the profile sampler reproduces the law of l+(T+_{0,m}, y) from walks
+    for y, (a, b) in _walk_and_sampler_profiles(sampler_exp, w_exp, 0, 2, 120_000, 11, -2, 3).items():
+        assert _tv(a, b) < 0.012, f"y={y}"
 
 
 def test_triangular_mean_profile(sampler_exp):
@@ -110,6 +115,19 @@ def test_right_boundary_uses_index_m_minus_1(sampler_exp):
     out = sampler_exp.batch_profile_window(0, m, 200_000, seed=29, y_lo=1, y_hi=1)[1]
     se = out.std() / np.sqrt(len(out))
     assert abs(out.mean() - (m - 1.5)) < 4 * se
+
+
+def test_profile_vs_walk_law_right_of_origin(sampler_exp, w_exp):
+    # at an edge x > 0 the left sweep's sites in [0, x) pass and read l + 1
+    x, m = 2, 2
+    pairs = _walk_and_sampler_profiles(sampler_exp, w_exp, x, m, 120_000, 12, -3, 6)
+    assert (pairs[x][0] == m).all() and (pairs[x][1] == m).all()
+    for y in range(0, x):  # the walk to x+1 crossed every edge from the origin up
+        assert (pairs[y][0] >= 1).all() and (pairs[y][1] >= 1).all()
+    for y, (a, b) in pairs.items():
+        assert _tv(a, b) < 0.012, f"y={y}"
+        se = np.hypot(a.std(), b.std()) / np.sqrt(len(a))
+        assert abs(a.mean() - b.mean()) <= 4 * se, f"y={y}"
 
 
 def test_batch_total_time_matches_walk(sampler_exp, w_exp):
@@ -158,11 +176,16 @@ def test_window_sweep_has_no_cap(sampler_exp, monkeypatch):
 # sweep engine; the engine and its consumers must reproduce their outputs exactly.
 
 
+def _ref_boundary_index(x, m):
+    """The sampler's old right-sweep start index, for x <= 0."""
+    return m - 1 if x == 0 else m
+
+
 def _ref_profile(s, x, m, seed):
     """(site_lo, l+ at sites site_lo.., T) of one profile, drawn site by site."""
     rng = _as_generator(seed)
     right_vals = []
-    idx = s._boundary_index(x, m)
+    idx = _ref_boundary_index(x, m)
     l = int(s._advance(np.array([idx]), rng)[0])
     right_vals.append(l)
     y = x + 2
@@ -192,7 +215,7 @@ def _ref_window(s, x, m, R, seed, y_lo, y_hi):
     if y_lo <= x <= y_hi:
         out[x] = np.full(R, m, dtype=np.int64)
     if y_hi >= x + 1:
-        l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+        l = s._advance(np.full(R, _ref_boundary_index(x, m), dtype=np.int64), rng)
         if x + 1 >= y_lo:
             out[x + 1] = l.copy()
         for y in range(x + 2, y_hi + 1):
@@ -258,7 +281,7 @@ def _ref_tails(s, m, R, seed, g_m):
 def _ref_total(s, x, m, R, seed):
     rng = _as_generator(seed)
     total = np.full(R, m, dtype=np.int64)
-    l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+    l = s._advance(np.full(R, _ref_boundary_index(x, m), dtype=np.int64), rng)
     total += l
     y = x + 2
     while y <= 0:
@@ -286,7 +309,7 @@ def _ref_boundary(s, x, m, R, seed, boundary):
     rng = _as_generator(seed)
     w1 = np.zeros(R, dtype=np.int64)
     w2 = np.zeros(R, dtype=np.int64)
-    l = s._advance(np.full(R, s._boundary_index(x, m), dtype=np.int64), rng)
+    l = s._advance(np.full(R, _ref_boundary_index(x, m), dtype=np.int64), rng)
     y = x + 1
     if y > boundary:
         w1 += l
@@ -315,6 +338,31 @@ def _ref_boundary(s, x, m, R, seed, boundary):
         keep = lact > 0
         act, lact = act[keep], lact[keep]
     return w1, w2
+
+
+def _ref_hit_time_law(w, x, m, t_max):
+    """P(T+_{x,m} = t) for t <= t_max, by enumerating the walk's paths.
+
+    Paths are merged on (position, signed differences, crossings so far) and
+    dropped once they cannot make the remaining crossings by t_max.
+    """
+    off = t_max
+    law = np.zeros(t_max + 1)
+    states = {(0, (0,) * (2 * t_max + 1), 0): 1.0}
+    for t in range(1, t_max + 1):
+        nxt = defaultdict(float)
+        for (pos, d, hits), prob in states.items():
+            p = w.p_right(d[pos + off])
+            for step, q in ((1, p), (-1, 1.0 - p)):
+                h = hits + (step == 1 and pos == x)
+                if h == m:
+                    law[t] += prob * q
+                elif q > 0.0 and abs(pos + step - x) + 1 + 2 * (m - h - 1) <= t_max - t:
+                    dd = list(d)
+                    dd[pos + off] += step
+                    nxt[(pos + step, tuple(dd), h)] += prob * q
+        states = nxt
+    return law
 
 
 @pytest.fixture(params=["exp", "ramp"])
@@ -398,6 +446,22 @@ def test_tail_events_matches_reference(sampler, m, g_m, R, seeds):
 @pytest.mark.parametrize("m", [1, 3, 12])
 def test_total_time_matches_reference(sampler, x, m):
     assert np.array_equal(sampler.batch_total_time(x, m, 3000, 5), _ref_total(sampler, x, m, 3000, 5))
+
+
+@pytest.mark.parametrize("x", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2])
+def test_total_time_matches_enumeration_right_of_origin(sampler, x, m):
+    # every t <= 20 with at least 20 expected hits, within 4 SE of the exact law
+    R = 400_000
+    law = _ref_hit_time_law(sampler.weight, x, m, 20)
+    T = sampler.batch_total_time(x, m, R, seed=40 + 2 * x + m)
+    assert ((T - (x + 1)) % 2 == 0).all() and T.min() >= x + 1 + 2 * (m - 1)
+    freq = np.bincount(T[T <= 20], minlength=21) / R
+    cells = [t for t in range(21) if R * law[t] >= 20]
+    assert len(cells) >= 7
+    for t in cells:
+        se = math.sqrt(law[t] * (1 - law[t]) / R)
+        assert abs(freq[t] - law[t]) <= 4 * se, f"t={t}: {freq[t]:.5f} vs {law[t]:.5f}"
 
 
 @pytest.mark.parametrize("x", [0, -1, -4])

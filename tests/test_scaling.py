@@ -1,10 +1,8 @@
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from srrw import beta_n, scaling_params, theta
+from srrw import beta_n, theta
 
 
 def test_theta_values():
@@ -25,19 +23,3 @@ def test_beta_range(n, frac, s2):
     x = int(frac * n)
     b = beta_n(n, x, s2)
     assert 4 * s2 / 3 - 1e-9 <= b <= 16 * s2 / 3 + 1e-9
-
-
-def test_scaling_params_fields():
-    p = scaling_params(100, -20, 0.5, alpha=0.75, sigma2=0.6)
-    assert p.theta_n_x == theta(100.0, -20.0) == 40.0
-    assert p.n_x == pytest.approx(120.0)
-    assert p.N_x == pytest.approx(100 - 10 * math.log(100) + 20)
-    assert p.h_n_x == pytest.approx(0.5 * 100**1.5 - 10.0)
-    assert p.beta_n == pytest.approx(beta_n(100, -20, 0.6))
-
-
-def test_scaling_params_rejects_edge_x():
-    with pytest.raises(ValueError):
-        scaling_params(100, -90, 0.0, alpha=0.75)
-    with pytest.raises(ValueError):
-        scaling_params(100, 0, 0.0, alpha=1.2)

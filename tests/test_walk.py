@@ -140,14 +140,14 @@ def test_eta_support_constraint(w_exp):
 
 
 def test_inverse_time_decomposition(w_exp):
-    # T+_{x,m} = 2 sum_y l+(T, y) + |x| - 1 whenever attained, x <= 0
+    # T+_{x,m} = 2 sum_y l+(T, y) - x - 1 whenever attained: the walk ends at x+1, for x of either sign
     t = simulate_walk(w_exp, 3000, seed=21)
-    for x, m in ((0, 3), (-2, 2), (-1, 5)):
+    for x, m in ((0, 3), (-2, 2), (-1, 5), (1, 2), (3, 1)):
         T = inverse_local_time(t, x, m, "+")
         assert T is not None
         table = t.local_times_at(T)
         total_plus = sum(table.plus.values())
-        assert T == 2 * total_plus + abs(x) - 1
+        assert T == 2 * total_plus - x - 1
 
 
 def test_extraction_matches_kernel_row(w_exp, kernel_exp):
