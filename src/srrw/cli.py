@@ -16,11 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import CampaignConfigError, InvalidWeightError, SrrwError
+from .errors import CampaignConfigError, InvalidWeightError, SimulationBudgetError, SrrwError
 from .eta import EtaKernel, stationary_distribution
-from .harness import CONFIG_KINDS, DEFAULT_BLOCK, config_from_dict, map_blocks, run_campaign, substream
+from .harness import CONFIG_KINDS, DEFAULT_BLOCK, config_from_dict, map_blocks, mean_se, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, limit_exponent, limit_scale, stationary_step_law
-from .rayknight import RayKnightSampler
+from .rayknight import ABSORB_CAP_SLACK, RayKnightSampler
 from .reporting import RunManifest, code_version, dump_json, write_csv
 from .walk import range_extremes, simulate_walk
 from .weights import WeightFunction
@@ -33,7 +33,7 @@ ARG_RANGES = {
     "simulate": [("steps", ">=", 0), ("seed", ">=", 0)],
     "stationary": [("window", ">=", 1)],
     "profile": [("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1), ("seed", ">=", 0)],
-    "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf), ("stride", ">=", 0)],
+    "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf)],
 }
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
@@ -118,24 +118,27 @@ def cmd_profile(args) -> int:
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
     outdir = _start(args, config, args.seed)
     sampler = RayKnightSampler(args.w)
-    y_lo, y_hi = min(args.x, 0) - 2 * args.m - 64, max(args.x, 0) + 2 * args.m + 64
+    # the window widens until both end sites read l+ = 0 in every replica; it depends on
+    # the inputs and the seed only, so the output does not depend on the thread count
+    margin = 64
+    while True:
+        y_lo, y_hi = min(args.x, 0) - 2 * args.m - margin, max(args.x, 0) + 2 * args.m + margin
 
-    def block(b, count):
-        return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
+        def block(b, count):
+            return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
 
-    out = {}
-    for got in map_blocks(args.replicas, DEFAULT_BLOCK, args.threads, block):
-        for y, vals in got.items():
-            out.setdefault(y, []).append(vals)
+        blocks = map_blocks(args.replicas, DEFAULT_BLOCK, args.threads, block)
+        if not any(got[y].any() for got in blocks for y in (y_lo, y_hi)):
+            break
+        del blocks  # free this pass before the wider one runs
+        if margin > 2 * args.m + ABSORB_CAP_SLACK:
+            raise SimulationBudgetError("profile failed to absorb within its widest window")
+        margin *= 2
     rows = []
-    for y in sorted(out):
-        vals = np.concatenate(out[y]).astype(np.float64)
-        rows.append({
-            "y": y,
-            "mean": float(vals.mean()),
-            "se": float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0,
-            "zero_frac": float((vals == 0).mean()),
-        })
+    for y in range(y_lo, y_hi + 1):
+        vals = np.concatenate([got[y] for got in blocks]).astype(np.float64)
+        mean, se = mean_se(vals)
+        rows.append({"y": y, "mean": mean, "se": se, "zero_frac": float((vals == 0).mean())})
     prof_path = outdir / "profile.csv"
     write_csv(prof_path, "profile", rows)
     _finish(args, [prof_path])
@@ -144,7 +147,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_lclt(args) -> int:
-    config = {"w": args.w.spec(), "N": args.N, "box": args.box, "stride": args.stride}
+    # target ~50k CSV rows: the full box grid has ~36 N^2 lattice points
+    stride = max(1, math.ceil(6 * args.N / 224))
+    config = {"w": args.w.spec(), "N": args.N, "box": args.box, "stride": stride}
     outdir = _start(args, config, args.seed)
     step_law = stationary_step_law(args.w)
     pmf = exact_bivariate_pmf(step_law, args.N)
@@ -157,16 +162,16 @@ def cmd_lclt(args) -> int:
     lines = []
     sqn, n32 = math.sqrt(args.N), args.N**1.5
     alo, _, blo, bhi = pmf.box
-    bt = pmf.bt_values()[::args.stride]
+    bt = pmf.bt_values()[::stride]
     for ia, a in enumerate(pmf.a_values().tolist()):
         u = a / sqn
-        if ia % args.stride or abs(u) > args.box:
+        if ia % stride or abs(u) > args.box:
             continue
         b = bt + pmf.c * a
         v = b / n32
         keep = np.abs(v) <= args.box
         b, v = b[keep], v[keep]
-        exact = pmf.arr[alo + ia, blo:bhi][::args.stride][keep]
+        exact = pmf.arr[alo + ia, blo:bhi][::stride][keep]
         pred = [math.exp(-x) for x in limit_exponent(u, v, s2).tolist()]
         err = np.abs(scale * exact - np.array(pred))
         lines += [f"{a!r},{r[0]!r},{r[1]!r},{r[2]!r},{r[3]!r}\n"
@@ -255,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--w", type=_weight, default=WeightFunction("exponential", (1.0,)))
     sp.add_argument("--N", type=int, default=100)
     sp.add_argument("--box", type=float, default=3.0)
-    sp.add_argument("--stride", type=int, default=0, help="CSV grid stride (0 = auto)")
     sp.add_argument("--max-sup", type=float, default=None, help="fail (exit 1) if sup error exceeds this")
     common(sp)
     sp.set_defaults(func=cmd_lclt)
@@ -282,9 +286,6 @@ def main(argv=None) -> int:
         if not _OPS[op](getattr(args, name), bound):  # a NaN --box fails too
             print(f"error: --{name} {getattr(args, name)} must be {op} {bound}", file=sys.stderr)
             return USAGE_ERROR
-    if args.command == "lclt" and args.stride == 0:
-        # target ~50k CSV rows: the full box grid has ~36 N^2 lattice points
-        args.stride = max(1, math.ceil(6 * args.N / 224))
     try:
         return args.func(args)
     except SrrwError as exc:

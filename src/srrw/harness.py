@@ -46,14 +46,7 @@ def substream(master_seed: int, *path: int) -> np.random.SeedSequence:
 
 def map_blocks(total: int, block_size: int, threads: int, fn):
     """fn(block_index, count) for each block; results returned in block order."""
-    blocks = []
-    done = 0
-    i = 0
-    while done < total:
-        n = min(block_size, total - done)
-        blocks.append((i, n))
-        done += n
-        i += 1
+    blocks = [(b, min(block_size, total - start)) for b, start in enumerate(range(0, total, block_size))]
     if threads <= 1:
         return [fn(b, n) for b, n in blocks]
     with ThreadPoolExecutor(max_workers=threads) as ex:
@@ -93,6 +86,12 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
+def mean_se(values: np.ndarray):
+    """Sample mean of values and its standard error; the error of a single value is 0.0."""
+    n = len(values)
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+
+
 def _rate(hits, n: int):
     """Binomial frequency hits/n and its standard error."""
     freq = hits / n
@@ -121,6 +120,11 @@ def ks_vs_uniform(values: np.ndarray, counts: np.ndarray, scale: float) -> float
 
 # -- configs -------------------------------------------------------------------
 
+# the least value of each bounded field, or of each entry of a list field;
+# 0 cross-check replicas or cross_m skips the walk cross-check
+_LEAST = {"master_seed": 0, "threads": 1, "block_size": 1, "replicas": 1, "cross_replicas": 0, "cross_m": 0,
+          "n": 1, "n_ladder": 1, "k_ladder": 1, "m_ladder": 1, "replicas_per_m": 1}
+
 
 @dataclass(frozen=True)
 class CampaignConfig:
@@ -145,23 +149,17 @@ class CampaignConfig:
                 raise CampaignConfigError(f"{self.kind}: {f.name} entries must be integers")
             if f.type == "tuple[float, ...]" and not all(map(_finite, v)):
                 raise CampaignConfigError(f"{self.kind}: {f.name} entries must be finite numbers")
+            least = _LEAST.get(f.name, -math.inf)
+            if f.type == "int" and v < least:
+                raise CampaignConfigError(f"{self.kind}: {f.name}={v} must be >= {least}")
+            if f.type == "tuple[int, ...]" and any(e < least for e in v):
+                raise CampaignConfigError(f"{self.kind}: {f.name} entries must be >= {least}")
         try:
             self.weight_fn()
         except (SrrwError, LookupError, TypeError, ValueError) as exc:
             raise CampaignConfigError(f"{self.kind}: weight={self.weight!r} is not a weight spec: {exc}") from exc
         if self.ladder and not getattr(self, self.ladder):
             raise CampaignConfigError(f"{self.kind}: {self.ladder} is empty")
-        if self.ladder and min(getattr(self, self.ladder)) < 1:
-            raise CampaignConfigError(f"{self.kind}: {self.ladder} entries must be >= 1")
-        if getattr(self, "replicas", 1) < 1:
-            raise CampaignConfigError(f"{self.kind}: replicas={self.replicas} must be >= 1")
-        if getattr(self, "cross_replicas", 0) < 0:  # 0 skips the walk cross-check
-            raise CampaignConfigError(f"{self.kind}: cross_replicas={self.cross_replicas} must be >= 0")
-        if self.block_size < 1 or self.threads < 1:
-            raise CampaignConfigError(
-                f"{self.kind}: block_size={self.block_size} and threads={self.threads} must be >= 1")
-        if self.master_seed < 0:
-            raise CampaignConfigError(f"{self.kind}: master_seed={self.master_seed} must be >= 0")
 
     def weight_fn(self) -> WeightFunction:
         return WeightFunction.from_spec(self.weight)
@@ -190,8 +188,6 @@ class LcltTableConfig(CampaignConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n < 1:
-            raise CampaignConfigError(f"lclt_table: n={self.n} must be >= 1")
         if not self.grid():
             raise CampaignConfigError(f"lclt_table: no site |x| <= n - n^alpha has the parity of n^2 at n={self.n}")
 
@@ -227,10 +223,6 @@ class TailConfig(CampaignConfig):
             raise CampaignConfigError(
                 f"tails: replicas_per_m has {len(self.replicas_per_m)} entries for {len(self.m_ladder)} m_ladder points"
             )
-        if min(self.replicas_per_m) < 1:
-            raise CampaignConfigError("tails: replicas_per_m entries must be >= 1")
-        if self.cross_m < 0:  # 0 skips the walk cross-check
-            raise CampaignConfigError(f"tails: cross_m={self.cross_m} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -244,8 +236,6 @@ class InverseTimeConfig(CampaignConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.n < 1:
-            raise CampaignConfigError(f"inverse_time: n={self.n} must be >= 1")
         if (self.x - self.n * self.n) % 2 != 0:
             raise CampaignConfigError(f"inverse_time: x={self.x} must share the parity of n^2 = {self.n * self.n}")
         if not self.levels():
@@ -275,14 +265,8 @@ class WTermsConfig(CampaignConfig):
         return [int(round(theta(float(n), 0.0))) for n in self.n_ladder]
 
 
-CONFIG_KINDS = {
-    "endpoint": EndpointConfig,
-    "lclt_table": LcltTableConfig,
-    "profile_shape": ProfileShapeConfig,
-    "tails": TailConfig,
-    "inverse_time": InverseTimeConfig,
-    "wterms": WTermsConfig,
-}
+CONFIG_KINDS: dict = {}  # kind -> config class, in the order the runners register
+_RUNNERS: dict = {}
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
@@ -297,24 +281,22 @@ def config_from_dict(d: dict) -> CampaignConfig:
     return CONFIG_KINDS[kind](**d)
 
 
-_RUNNERS: dict = {}
-
-
 def run_campaign(cfg: CampaignConfig) -> StatsReport:
     return _RUNNERS[cfg.kind](cfg)
 
 
-def _campaign(kind: str):
+def _campaign(cls):
     """Register a runner returning (tables, checks, replicas_total) as the
-    campaign of that kind; the registered function returns the StatsReport."""
+    campaign of config class cls; the registered function returns the StatsReport."""
 
     def register(fn):
         @functools.wraps(fn)
         def run(cfg: CampaignConfig) -> StatsReport:
             tables, checks, total = fn(cfg)
-            return StatsReport(kind=kind, config=cfg.to_dict(), tables=tables, checks=checks, replicas_total=total)
+            return StatsReport(kind=cls.kind, config=cfg.to_dict(), tables=tables, checks=checks, replicas_total=total)
 
-        _RUNNERS[kind] = run
+        CONFIG_KINDS[cls.kind] = cls
+        _RUNNERS[cls.kind] = run
         return run
 
     return register
@@ -338,7 +320,7 @@ def position_histogram(cfg, w: WeightFunction, steps: int, kind: int, point: int
     return counter
 
 
-@_campaign("endpoint")
+@_campaign(EndpointConfig)
 def endpoint_law(cfg: EndpointConfig):
     """Empirical law of X(n^2)/n against U(-1,1) along the n ladder."""
     exp = load_expectations()
@@ -371,7 +353,7 @@ def endpoint_law(cfg: EndpointConfig):
 # -- pointwise lower bound table -------------------------------------------------
 
 
-@_campaign("lclt_table")
+@_campaign(LcltTableConfig)
 def local_clt_table(cfg: LcltTableConfig):
     """n * P(X(n^2) = x) over the admissible parity grid, with flags."""
     w = cfg.weight_fn()
@@ -411,7 +393,7 @@ def local_clt_table(cfg: LcltTableConfig):
 # -- profile shape (triangular local-time law) -----------------------------------
 
 
-@_campaign("profile_shape")
+@_campaign(ProfileShapeConfig)
 def profile_shape(cfg: ProfileShapeConfig):
     """Per-replica sup deviation of l+(k, .)/sqrt(k) from the triangular
     profile, per ladder point; medians must decrease along the ladder."""
@@ -442,7 +424,7 @@ def profile_shape(cfg: ProfileShapeConfig):
 # -- range / profile tail events --------------------------------------------------
 
 
-@_campaign("tails")
+@_campaign(TailConfig)
 def tail_bounds_suite(cfg: TailConfig):
     """Frequencies of the rho/lam and profile tail events on the m ladder,
     via the profile sampler, plus a walk-vs-sampler cross statistic."""
@@ -486,8 +468,7 @@ def tail_bounds_suite(cfg: TailConfig):
         t_walk = times[times[:, 0] > 0, 0].astype(np.float64)
         t_rk = np.concatenate(_blocks(cfg, cfg.cross_replicas, (KIND_TAILS, 901),
                                       functools.partial(sampler.batch_total_time, 0, m))).astype(np.float64)
-        mw, sw = float(t_walk.mean()), float(t_walk.std(ddof=1) / math.sqrt(len(t_walk)))
-        mr, sr = float(t_rk.mean()), float(t_rk.std(ddof=1) / math.sqrt(len(t_rk)))
+        (mw, sw), (mr, sr) = mean_se(t_walk), mean_se(t_rk)
         tables["tail_cross"] = [{"m": m, "statistic": "mean_T", "walk_value": mw, "walk_se": sw,
                                  "rk_value": mr, "rk_se": sr}]
         joint = math.hypot(sw, sr)
@@ -499,7 +480,7 @@ def tail_bounds_suite(cfg: TailConfig):
 # -- inverse-local-time hitting asymptotics ---------------------------------------
 
 
-@_campaign("inverse_time")
+@_campaign(InverseTimeConfig)
 def inverse_time_asymptotics(cfg: InverseTimeConfig):
     """Scaled estimate of P(T = n^2) for the inverse local times that land on
     x, across admissible c, against the Gaussian benchmark exp(-4c^2/beta_n).
@@ -581,7 +562,7 @@ def inverse_time_asymptotics(cfg: InverseTimeConfig):
 # -- boundary local-time sums ------------------------------------------------------
 
 
-@_campaign("wterms")
+@_campaign(WTermsConfig)
 def w_boundary_terms(cfg: WTermsConfig):
     """Frequencies of {W_k > M n log^3 n} for the profile mass beyond the
     +-(n - sqrt(n) log n) boundary at T+_{0, theta_n(0)}, on an n ladder."""

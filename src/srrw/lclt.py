@@ -238,9 +238,9 @@ def exact_bivariate_pmf(
     if cells > cell_budget:
         # the largest N whose grid fits: cells grow with N
         n_fit = bisect.bisect_left(range(1, N), True, key=lambda n: _dp_grid(h, sigma, n, sd_cap)[-1] > cell_budget)
-        raise SupportBudgetError(
-            f"DP grid {HA}x{HB} and its slack ({cells} cells) exceed the cell budget", suggested_n=n_fit or None
-        )
+        fits = f"; the largest N that fits is {n_fit}" if n_fit else "; no N fits"
+        raise SupportBudgetError(f"DP grid {HA}x{HB} and its slack ({cells} cells) exceed the cell budget of "
+                                 f"{cell_budget}{fits}", suggested_n=n_fit or None)
     h_lo, h_hi = int(h[0]), int(h[-1])
     h_span = h_hi - h_lo
     center_a, center_b = HA // 2, clip_b_final + 8
@@ -345,15 +345,8 @@ def limit_scale(sigma2: float, N: int) -> float:
 
 @dataclass
 class GaussianComparison:
-    N: int
-    sigma2: float
     sup_scaled_error: float
     argmax: tuple
-    truncated_mass: float
-
-    def __post_init__(self):
-        if self.sup_scaled_error < 0:
-            raise ValueError("sup error cannot be negative")
 
 
 _TIE_RTOL = 1e-12
@@ -415,14 +408,7 @@ def lclt_sup_error(
         exact[inside] = pmf.arr[alo + ia, ib[inside]]
         err = np.abs(scale * exact - np.exp(-limit_exponent(u, v, s2, plus_cross_sign)))
         near += _near_row_max(a, b_vals, err)
-    sup, arg = _sup_and_argmax(near)
-    return GaussianComparison(
-        N=N,
-        sigma2=s2,
-        sup_scaled_error=sup,
-        argmax=arg,
-        truncated_mass=pmf.truncated_mass,
-    )
+    return GaussianComparison(*_sup_and_argmax(near))
 
 
 def conditional_sup_error(pmf: BivariatePMF):

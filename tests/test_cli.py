@@ -99,6 +99,42 @@ def test_profile_threads_byte_identical(tmp_path):
     assert (tmp_path / "t1" / "profile.csv").read_bytes() == (tmp_path / "t2" / "profile.csv").read_bytes()
 
 
+def test_profile_window_holds_the_whole_profile(tmp_path):
+    # at m = 400 a window of 2m + 64 sites cuts about a fifth of the ramp:1:1 profiles short
+    out = tmp_path / "p"
+    assert run_cli(["profile", "--w", "ramp:1:1", "--m", "400", "--replicas", "500", "--seed", "3",
+                    "--out", str(out)]) == 0
+    with open(out / "profile.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ys = [int(r["y"]) for r in rows]
+    assert ys == list(range(ys[0], ys[-1] + 1)) and ys[0] == -ys[-1] < -2 * 400 - 64
+    for r in (rows[0], rows[-1]):
+        assert (float(r["mean"]), float(r["zero_frac"])) == (0.0, 1.0)
+
+
+def test_profile_without_absorption_exits_2(tmp_path, capsys, monkeypatch):
+    from srrw.rayknight import RayKnightSampler
+
+    # a profile that never absorbs stops the window's widening
+    monkeypatch.setattr(RayKnightSampler, "_advance", lambda self, idx, rng: idx.copy())
+    assert run_cli(["profile", "--w", "exp:1", "--m", "1", "--replicas", "5", "--out", str(tmp_path / "p")]) == 2
+    assert "error: profile failed to absorb within its widest window" in capsys.readouterr().err
+
+
+def test_lclt_over_budget_names_the_largest_n(tmp_path, capsys):
+    from srrw.errors import SupportBudgetError
+    from srrw.lclt import exact_bivariate_pmf, stationary_step_law
+
+    out = tmp_path / "l"
+    assert run_cli(["lclt", "--N", "2000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exceed the cell budget of 60000000" in err
+    with pytest.raises(SupportBudgetError) as ei:
+        exact_bivariate_pmf(stationary_step_law(srrw.WeightFunction("exponential", (1.0,))), 2000)
+    assert int(re.search(r"the largest N that fits is (\d+)", err).group(1)) == ei.value.suggested_n
+    assert json.loads((out / "manifest.json").read_text())["error"] == err.strip()[len("error: "):]
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--w", "exp:1.0", "--steps", "5"],
     ["stationary", "--w", "exp:1.0"],
@@ -286,22 +322,29 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
     assert not (out / "manifest.json").exists()
 
 
+# explicit ids: a case that goes takes no other case's name with it
 @pytest.mark.parametrize("argv,message", [
-    (["lclt", "--N", "0"], "--N 0 must be >= 1"),
-    (["lclt", "--box", "-1"], "--box -1.0 must be > 0"),
-    (["lclt", "--box", "nan"], "--box nan must be > 0"),
-    (["lclt", "--stride", "-3"], "--stride -3 must be >= 0"),
-    (["simulate", "--w", "exp:1", "--steps", "-5"], "--steps -5 must be >= 0"),
-    (["profile", "--w", "exp:1", "--m", "0"], "--m 0 must be >= 1"),
-    (["profile", "--w", "exp:1", "--m", "0", "--x", "1"], "--m 0 must be >= 1"),  # --x 1 passes
-    (["profile", "--w", "exp:1", "--m", "3", "--replicas", "0"], "--replicas 0 must be >= 1"),
-    (["profile", "--w", "exp:1", "--m", "3", "--threads", "0"], "--threads 0 must be >= 1"),
-    (["stationary", "--w", "exp:1", "--window", "-5"], "--window -5 must be >= 1"),
-    (["campaign", "--kind", "endpoint", "--replicas", "10", "--param", "n_ladder=[4]", "--threads", "-3"],
-     "threads=-3 must be >= 1"),
-    (["lclt", "--box", "inf"], "--box inf must be < inf"),
-    (["simulate", "--w", "exp:1", "--steps", "5", "--seed", "-1"], "--seed -1 must be >= 0"),
-    (["profile", "--w", "exp:1", "--m", "3", "--seed", "-2"], "--seed -2 must be >= 0"),
+    pytest.param(["lclt", "--N", "0"], "--N 0 must be >= 1", id="argv0---N 0 must be >= 1"),
+    pytest.param(["lclt", "--box", "-1"], "--box -1.0 must be > 0", id="argv1---box -1.0 must be > 0"),
+    pytest.param(["lclt", "--box", "nan"], "--box nan must be > 0", id="argv2---box nan must be > 0"),
+    pytest.param(["simulate", "--w", "exp:1", "--steps", "-5"], "--steps -5 must be >= 0",
+                 id="argv4---steps -5 must be >= 0"),
+    pytest.param(["profile", "--w", "exp:1", "--m", "0"], "--m 0 must be >= 1", id="argv5---m 0 must be >= 1"),
+    pytest.param(["profile", "--w", "exp:1", "--m", "0", "--x", "1"], "--m 0 must be >= 1",  # --x 1 passes
+                 id="argv6---m 0 must be >= 1"),
+    pytest.param(["profile", "--w", "exp:1", "--m", "3", "--replicas", "0"], "--replicas 0 must be >= 1",
+                 id="argv7---replicas 0 must be >= 1"),
+    pytest.param(["profile", "--w", "exp:1", "--m", "3", "--threads", "0"], "--threads 0 must be >= 1",
+                 id="argv8---threads 0 must be >= 1"),
+    pytest.param(["stationary", "--w", "exp:1", "--window", "-5"], "--window -5 must be >= 1",
+                 id="argv9---window -5 must be >= 1"),
+    pytest.param(["campaign", "--kind", "endpoint", "--replicas", "10", "--param", "n_ladder=[4]", "--threads", "-3"],
+                 "threads=-3 must be >= 1", id="argv10-threads=-3 must be >= 1"),
+    pytest.param(["lclt", "--box", "inf"], "--box inf must be < inf", id="argv11---box inf must be < inf"),
+    pytest.param(["simulate", "--w", "exp:1", "--steps", "5", "--seed", "-1"], "--seed -1 must be >= 0",
+                 id="argv12---seed -1 must be >= 0"),
+    pytest.param(["profile", "--w", "exp:1", "--m", "3", "--seed", "-2"], "--seed -2 must be >= 0",
+                 id="argv13---seed -2 must be >= 0"),
 ])
 def test_bad_argument_writes_nothing(tmp_path, capsys, argv, message):
     # refused before the manifest is written, not by a traceback or an empty run mid-way

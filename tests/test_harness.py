@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from srrw import (
     w_boundary_terms,
 )
 from srrw.errors import CampaignConfigError
-from srrw.harness import ks_vs_uniform, load_expectations, upper95
+from srrw.harness import _LEAST, CONFIG_KINDS, ks_vs_uniform, load_expectations, mean_se, upper95
 
 
 def test_expectations_load_packaged_file():
@@ -125,6 +127,33 @@ def test_config_rejects_empty_blocks_and_threads(cls, field, value):
     # block_size=0 would make map_blocks append empty blocks forever
     with pytest.raises(CampaignConfigError, match=f"{field}={value}"):
         cls(**{field: value})
+
+
+def _bounded_fields(cls) -> list:
+    """The count, size and seed fields of a config class: every integer field but the edge x."""
+    return [f.name for f in fields(cls) if f.type in ("int", "tuple[int, ...]") and f.name != "x"]
+
+
+def test_every_integer_field_has_a_least_value():
+    # a new count field cannot go unchecked
+    for cls in CONFIG_KINDS.values():
+        assert set(_bounded_fields(cls)) <= set(_LEAST), cls.kind
+
+
+@pytest.mark.parametrize("cls,name", [pytest.param(cls, name, id=f"{kind}-{name}")
+                                      for kind, cls in CONFIG_KINDS.items() for name in _bounded_fields(cls)])
+def test_config_refuses_one_below_least(cls, name):
+    least = _LEAST[name]
+    default = getattr(cls, name)
+    value = (least - 1, *default[1:]) if isinstance(default, tuple) else least - 1
+    with pytest.raises(CampaignConfigError, match=re.escape(f"{cls.kind}: {name}") + f".* must be >= {least}$"):
+        cls(**{name: value})
+
+
+def test_mean_se():
+    values = np.array([1.0, 2.0, 6.0])
+    assert mean_se(values) == (3.0, math.sqrt(7.0 / 3.0))
+    assert mean_se(np.array([5.0])) == (5.0, 0.0)
 
 
 def test_campaign_dispatch_and_config_round_trip():
