@@ -14,8 +14,12 @@ the n=24 inverse-time campaign's edge, levels and t_cap = 576, the driver
 with a retiring hook (a sha256 of the hit times), of two such blocks run
 concurrently on two threads through `harness.map_blocks`, as the
 inverse-time campaign's walk cross-check runs them (CPU time and a sha256 of
-both blocks' hit times), each walk case with its peak RSS and the part of it
-above the high-water mark the imports left, of one single-threaded
+both blocks' hit times), of one `harness.endpoint_law` campaign on
+ENDPOINT_LADDER with ENDPOINT_REPLICAS replicas on two threads, the perfbench
+endpoint operation without its CLI (CPU time and a sha256 of the first
+ladder point's rows, which must agree between trees), each walk case with
+its peak RSS and the part of it above the high-water mark the imports left,
+of one single-threaded
 `RayKnightSampler.batch_total_time(-1, m, RK_REPLICAS)` block at each m in
 RK_LEVELS on exp:1 (profiles/s, the time and count of the
 `MarginalTable.draw` calls inside it, draws/s, the minor page faults of the
@@ -72,6 +76,7 @@ ETA_WINDOW = (-40, 40)  # eta.DEFAULT_WINDOW, the window RayKnightSampler and th
 ETA_BUILDS = 20  # one build takes a few ms
 ETA_CHAIN_STEPS = 1_000_000
 LCLT_N = 200  # the size of the benchmark's lclt_exact operation
+ENDPOINT_LADDER, ENDPOINT_REPLICAS = (16, 20), 131072  # the perfbench endpoint operation
 EDGE_SITE, EDGE_T_CAP = -1, 576  # the n=24 inverse-time cross-check: edge x-1 at x=0, t_cap n^2
 REPEATS = 10
 
@@ -145,6 +150,13 @@ def child_edge2() -> dict:
         "times_sha256": hashlib.sha256(b"".join(times.tobytes() + unfinished.tobytes()
                                                 for times, _, unfinished in blocks)).hexdigest(),
     }
+
+
+def child_endpoint_ladder() -> dict:
+    rep, res = _walk_case(lambda w, harness, vw: harness.endpoint_law(harness.EndpointConfig(
+        weight=w.spec(), n_ladder=ENDPOINT_LADDER, replicas=ENDPOINT_REPLICAS, threads=2)))
+    first = [[r for r in rep.tables[t] if r["n"] == ENDPOINT_LADDER[0]] for t in ("endpoint", "endpoint_hist")]
+    return {**res, "first_point_sha256": hashlib.sha256(json.dumps(first).encode()).hexdigest()}
 
 
 def _timed_sampler():
@@ -359,6 +371,8 @@ def main(argv=None) -> int:
             res = child_edge()
         elif args.child[0] == "edge2":
             res = child_edge2()
+        elif args.child[0] == "endpoint_ladder":
+            res = child_endpoint_ladder()
         elif args.child[0] == "rayknight":
             res = child_rayknight()
         elif args.child[0] == "tails":
@@ -381,8 +395,8 @@ def main(argv=None) -> int:
     trees = {"change": ROOT}
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
-    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["edge2"], ["rayknight"], ["tails"], ["stationary"], ["eta_chain"],
-             ["lclt"]]
+    cases = [["import"], ["walk"], ["walk2"], ["edge"], ["edge2"], ["endpoint_ladder"], ["rayknight"], ["tails"],
+             ["stationary"], ["eta_chain"], ["lclt"]]
     cases += [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     saved = {label: {} for label in trees}
@@ -409,6 +423,7 @@ def main(argv=None) -> int:
             "final_positions_2threads": summary(samples[label]["walk2"]),
             "edge_hit_times": summary(samples[label]["edge"]),
             "edge_hit_times_2threads": summary(samples[label]["edge2"]),
+            "endpoint_law_ladder": summary(samples[label]["endpoint_ladder"]),
             "batch_total_time": summary(samples[label]["rayknight"]),
             "batch_tail_events": summary(samples[label]["tails"]),
             "stationary_and_table": summary(samples[label]["stationary"]),
@@ -426,6 +441,7 @@ def main(argv=None) -> int:
                  "t_cap": EDGE_T_CAP, "threads": 1},
         "edge2": {"blocks": 2, "replicas_per_block": WALK_REPLICAS, "edge_site": EDGE_SITE, "levels": list(RK_LEVELS),
                   "t_cap": EDGE_T_CAP, "threads": 2},
+        "endpoint_ladder": {"n_ladder": list(ENDPOINT_LADDER), "replicas": ENDPOINT_REPLICAS, "threads": 2},
         "rayknight": {"replicas": RK_REPLICAS, "x": -1, "m_levels": list(RK_LEVELS), "threads": 1},
         "tails": {"replicas": TAIL_REPLICAS, "m": TAIL_M, "growth": "log2", "threads": 1},
         "stationary": {"w": "exp:1", "window": list(ETA_WINDOW), "builds": ETA_BUILDS},
@@ -446,6 +462,8 @@ def main(argv=None) -> int:
                  ("edge2", "wall_s"): f"edge_hit_times_2threads_R{2 * WALK_REPLICAS}_T{EDGE_T_CAP}",
                  ("edge2", "cpu_s"): "edge_hit_times_2threads_cpu",
                  ("edge2", "peak_rss_mb"): "edge_hit_times_2threads_peak_rss",
+                 ("endpoint_ladder", "wall_s"): f"endpoint_law_R{ENDPOINT_REPLICAS}_n{'_'.join(map(str, ENDPOINT_LADDER))}",
+                 ("endpoint_ladder", "cpu_s"): "endpoint_law_cpu",
                  ("rayknight", "wall_s"): f"batch_total_time_R{RK_REPLICAS}",
                  ("rayknight", "draw_s"): "MarginalTable.draw",
                  ("rayknight", "minflt"): "batch_total_time_minflt",

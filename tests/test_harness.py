@@ -23,8 +23,18 @@ from srrw import (
     tail_bounds_suite,
     w_boundary_terms,
 )
+from srrw import vectorwalk as vw
 from srrw.errors import CampaignConfigError
-from srrw.harness import _LEAST, CONFIG_KINDS, ks_vs_uniform, load_expectations, mean_se, upper95
+from srrw.harness import (
+    _LEAST,
+    CONFIG_KINDS,
+    KIND_ENDPOINT,
+    ks_vs_uniform,
+    load_expectations,
+    mean_se,
+    substream,
+    upper95,
+)
 
 
 def test_expectations_load_packaged_file():
@@ -53,6 +63,38 @@ def test_endpoint_n1_trivial():
     freq = hist[1] / 2000
     assert abs(freq - 0.5) < 3 * math.sqrt(0.25 / 2000) + 1e-9
     assert abs(row["mean_scaled"]) <= 3 * row["se_mean"] + 1e-12
+
+
+LADDER = dict(master_seed=13, n_ladder=(3, 5, 8), replicas=2000, block_size=700, threads=2)
+
+
+def test_endpoint_ladder_reads_one_walk_per_block():
+    # every ladder point counts the positions of block b's walk on stream (kind, 0, b)
+    cfg = EndpointConfig(**LADDER)
+    rep = endpoint_law(cfg)
+    w = cfg.weight_fn()
+    for n in cfg.n_ladder:
+        want: dict = {}
+        for b, start in enumerate(range(0, cfg.replicas, cfg.block_size)):
+            count = min(cfg.block_size, cfg.replicas - start)
+            pos = vw.final_positions(w, n * n, count, substream(cfg.master_seed, KIND_ENDPOINT, 0, b))[0]
+            for x, c in zip(*np.unique(pos, return_counts=True)):
+                want[int(x)] = want.get(int(x), 0) + int(c)
+        got = {r["x"]: r["count"] for r in rep.tables["endpoint_hist"] if r["n"] == n}
+        assert got == want, n
+
+
+def test_endpoint_ladder_walks_each_block_once(monkeypatch):
+    calls = []
+    walk = vw.final_positions
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(vw, "final_positions", counted)
+    endpoint_law(EndpointConfig(**LADDER))
+    assert calls == [64, 64, 64]  # three blocks, each walked to the largest n^2
 
 
 def test_local_clt_table_smoke():

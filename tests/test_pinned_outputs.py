@@ -56,9 +56,9 @@ CASES = {
 
 PINNED = {
     "endpoint": {
-        "endpoint.csv": "6f3ee5830ec2fc2a33589699696aa209a03e9e1cc55d3b565a7bf3e5bfed42e5",
-        "endpoint_hist.csv": "c830d4827183f7f3a84ca2925e6bf9d0d558b0ce00f2dbbd925bfd6b7c4a13b7",
-        "results.json": "9402aec2898848747a4c405fa8d1f7f364f53ad9aa778e647dab6d59c436ae5c",
+        "endpoint.csv": "fbe47e2bd4b0bdf0e18fa361b6d807ee00525dcdfb05dd6ccd40301926c1dfd5",
+        "endpoint_hist.csv": "3374804e3051b47f8829020f26fd2270e080fe07ee66e80a7378b976bc00667c",
+        "results.json": "6f71778e2ca636a2e42ef0b4f5813d4ce3ff903370871dac957c3ff004b23aaf",
     },
     "inverse-time": {
         "m": [3, 4, 7],
@@ -79,7 +79,7 @@ PINNED = {
     },
     "profile-shape": {
         "profile_shape.csv": "a99347d6f9a0b26ad85d15dda64f5af9790b09cbaba89baeeffce1edb052ab62",
-        "results.json": "ad7ac0cfb0c1e51265d5c9bfe55b310e3548e88d82f3805b37ab465ec33783d2",
+        "results.json": "085b74b6e7acae2ab259dfda7d25b1b02f7f04f51dd5a163914db45d98d3fc87",
     },
     "simulate": {
         "localtimes.csv": "e75711bc97a03a25170f85e72ae8333db314f60b731aa98c81262dd32fbf7af6",
@@ -91,11 +91,20 @@ PINNED = {
         "tails.csv": "1257b65915924fb06c95d3522a11c2750e35658ef1355b5a81278b5a1c5c0ced",
     },
     "wterms": {
-        "results.json": "f8e5b55f0c9efae6a8eb8988c475b9215bd05a608193e9bd24611ec0844c0cba",
+        "results.json": "35204e29b58630a11e6ad0a53f87b1134724c367f1243fdf10a22d717d32776e",
         "wterms.csv": "07397f6c0fed23cbbfe9cb0af151c3272bcb192a3be2bc80948931626d8d33a2",
     },
 }
 
+
+# The endpoint case's first ladder point, n = 6: the sha256 of its rows
+# (header excluded) as written when every ladder point walked its own stream
+# (1, point, block).  Point 0 reads the walks of stream (1, 0, block) either
+# way, and a snapshot moves no draw, so these rows never change.
+FIRST_POINT_ROWS = {
+    "endpoint.csv": "d962dedbfb63c46f22667722147c58387a69c4ae3e1c0a53e0f524f6db8dd578",
+    "endpoint_hist.csv": "460af56a619a132c77c884ccaa44634aa5a46c8e159be9bb520c627bb0f24d0e",
+}
 
 def _digests(kind: str, outdir: Path) -> dict:
     if kind.startswith("inverse-time"):
@@ -128,6 +137,13 @@ def test_pinned_outputs(tmp_path, kind):
     dump_json(rerun / "results.json", results)
     assert _digests(kind, rerun) == PINNED[kind]
 
+
+
+def test_first_endpoint_point_unchanged(tmp_path):
+    _run("endpoint", tmp_path)
+    for name, digest in FIRST_POINT_ROWS.items():
+        rows = [line for line in (tmp_path / name).read_bytes().splitlines(keepends=True) if line.startswith(b"6,")]
+        assert rows and hashlib.sha256(b"".join(rows)).hexdigest() == digest, name
 
 if __name__ == "__main__":
     import contextlib
