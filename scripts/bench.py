@@ -33,9 +33,14 @@ sha256 of both laws), of one `eta.sample_eta_chain` run of
 ETA_CHAIN_STEPS steps on exp:1 (steps/s and a sha256 of the states), and of
 `lclt.exact_bivariate_pmf` on the exp:1 stationary step law at each N in
 SIZES (computed cells/s alongside, and the DP's own memory: the peak RSS
-above the high-water mark the imports left), and of one `srrw lclt --N LCLT_N`
+above the high-water mark the imports left), of one `srrw lclt --N LCLT_N`
 CLI run: the DP, both sup errors and the lclt_grid.csv writer, with a sha256
-of each of its two result files.  The first DP run of each tree
+of each of its two result files, of one `srrw profile PROFILE_ARGS` CLI run
+(CPU time, the process's peak RSS read from VmHWM, the part of it above the
+mark the imports left, and a sha256 of the y, mean and zero_frac columns of
+profile.csv, which must agree between trees), and of one
+`harness.profile_shape` campaign on the default k ladder with
+PROFILE_SHAPE_REPLICAS replicas (CPU time and a sha256 of its first row).  The first DP run of each tree
 saves its occupied box; the report's "dp_agreement" gives, per N, both
 trees' box and truncated_mass and the largest absolute cell difference
 between them.  Every tree named (this
@@ -78,6 +83,8 @@ ETA_CHAIN_STEPS = 1_000_000
 LCLT_N = 200  # the size of the benchmark's lclt_exact operation
 ENDPOINT_LADDER, ENDPOINT_REPLICAS = (16, 20), 131072  # the perfbench endpoint operation
 EDGE_SITE, EDGE_T_CAP = -1, 576  # the n=24 inverse-time cross-check: edge x-1 at x=0, t_cap n^2
+PROFILE_ARGS = ["--w", "exp:1", "--m", "1600", "--replicas", "2000", "--seed", "3"]
+PROFILE_SHAPE_REPLICAS = 200  # the profile-shape campaign's default
 REPEATS = 10
 
 
@@ -304,6 +311,40 @@ def child_lclt() -> dict:
     return {"wall_s": wall, "exit_code": code, **digests}
 
 
+def _vmhwm_mb() -> float:
+    """This process's peak RSS; unlike ru_maxrss it holds nothing from before exec."""
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+
+def child_profile_cli() -> dict:
+    import csv
+
+    from srrw.cli import main
+
+    base = _vmhwm_mb()
+    with tempfile.TemporaryDirectory(prefix="srrw-bench-profile-") as out:
+        t0, c0 = time.perf_counter(), time.process_time()
+        with contextlib.redirect_stdout(sys.stderr):  # stdout carries the child's JSON
+            code = main(["profile", *PROFILE_ARGS, "--out", out])
+        wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+        peak = _vmhwm_mb()
+        with open(Path(out) / "profile.csv", newline="") as fh:
+            cols = [[r["y"], r["mean"], r["zero_frac"]] for r in csv.DictReader(fh)]
+    return {"wall_s": wall, "cpu_s": cpu, "exit_code": code, "peak_rss_mb": peak, "profile_rss_mb": peak - base,
+            "y_mean_zero_frac_sha256": hashlib.sha256(json.dumps(cols).encode()).hexdigest()}
+
+
+def child_profile_shape() -> dict:
+    from srrw.harness import ProfileShapeConfig, profile_shape
+
+    t0, c0 = time.perf_counter(), time.process_time()
+    rep = profile_shape(ProfileShapeConfig(replicas=PROFILE_SHAPE_REPLICAS))
+    wall, cpu = time.perf_counter() - t0, time.process_time() - c0
+    first = rep.tables["profile_shape"][0]
+    return {"wall_s": wall, "cpu_s": cpu, "first_row_sha256": hashlib.sha256(json.dumps(first).encode()).hexdigest()}
+
+
 def dp_agreement(saved: dict) -> dict:
     """Per N: each tree's box and truncated_mass, and the largest absolute
     cell difference between the trees' saved boxes (None if the boxes differ)."""
@@ -383,6 +424,10 @@ def main(argv=None) -> int:
             res = child_eta_chain()
         elif args.child[0] == "lclt":
             res = child_lclt()
+        elif args.child[0] == "profile_cli":
+            res = child_profile_cli()
+        elif args.child[0] == "profile_shape":
+            res = child_profile_shape()
         else:
             res = child_dp(int(args.child[1]), *args.child[2:])
         import srrw
@@ -396,7 +441,7 @@ def main(argv=None) -> int:
     if args.baseline is not None:
         trees = {"parent": args.baseline.resolve(), **trees}
     cases = [["import"], ["walk"], ["walk2"], ["edge"], ["edge2"], ["endpoint_ladder"], ["rayknight"], ["tails"],
-             ["stationary"], ["eta_chain"], ["lclt"]]
+             ["stationary"], ["eta_chain"], ["lclt"], ["profile_cli"], ["profile_shape"]]
     cases += [["dp", str(n)] for n in SIZES]
     samples = {label: {" ".join(c): [] for c in cases} for label in trees}
     saved = {label: {} for label in trees}
@@ -430,6 +475,8 @@ def main(argv=None) -> int:
             "sample_eta_chain": summary(samples[label]["eta_chain"]),
             "exact_bivariate_pmf": {str(n): summary(samples[label][f"dp {n}"]) for n in SIZES},
             "cli_lclt": summary(samples[label]["lclt"]),
+            "cli_profile": summary(samples[label]["profile_cli"]),
+            "profile_shape": summary(samples[label]["profile_shape"]),
         }
     report = {
         "machine": {"cpu_count": os.cpu_count(), "platform": platform.platform(),
@@ -447,6 +494,8 @@ def main(argv=None) -> int:
         "stationary": {"w": "exp:1", "window": list(ETA_WINDOW), "builds": ETA_BUILDS},
         "eta_chain": {"w": "exp:1", "steps": ETA_CHAIN_STEPS, "start": 0},
         "cli_lclt": {"N": LCLT_N, "w": "exp:1"},
+        "cli_profile": {"args": PROFILE_ARGS, "threads": 1},
+        "profile_shape": {"k_ladder": "default", "replicas": PROFILE_SHAPE_REPLICAS, "threads": 1},
         "runs": runs,
         "dp_agreement": agreement,
     }
@@ -473,6 +522,11 @@ def main(argv=None) -> int:
                  ("stationary", "table_s"): "marginal_law_table",
                  ("eta_chain", "wall_s"): f"sample_eta_chain_T{ETA_CHAIN_STEPS}",
                  ("lclt", "wall_s"): f"cli_lclt_N{LCLT_N}",
+                 ("profile_cli", "wall_s"): "cli_profile_m1600_R2000",
+                 ("profile_cli", "cpu_s"): "cli_profile_cpu",
+                 ("profile_cli", "peak_rss_mb"): "cli_profile_peak_rss",
+                 ("profile_shape", "wall_s"): f"profile_shape_R{PROFILE_SHAPE_REPLICAS}",
+                 ("profile_shape", "cpu_s"): "profile_shape_cpu",
                  **{(f"dp {n}", "wall_s"): f"exact_bivariate_pmf_N{n}" for n in SIZES}}
         # median of the parent's time (or RSS) over the change's, and each pair's own ratio
         report["speedup"] = {}

@@ -11,16 +11,17 @@ import math
 import operator
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import CampaignConfigError, InvalidWeightError, SimulationBudgetError, SrrwError
+from .errors import CampaignConfigError, InvalidWeightError, SrrwError
 from .eta import EtaKernel, stationary_distribution
 from .harness import CONFIG_KINDS, DEFAULT_BLOCK, config_from_dict, map_blocks, mean_se, run_campaign, substream
 from .lclt import conditional_sup_error, exact_bivariate_pmf, lclt_sup_error, limit_exponent, limit_scale, stationary_step_law
-from .rayknight import ABSORB_CAP_SLACK, RayKnightSampler
+from .rayknight import RayKnightSampler
 from .reporting import RunManifest, code_version, dump_json, write_csv
 from .walk import range_extremes, simulate_walk
 from .weights import WeightFunction
@@ -118,27 +119,18 @@ def cmd_profile(args) -> int:
     config = {"w": args.w.spec(), "x": args.x, "m": args.m, "replicas": args.replicas, "seed": args.seed}
     outdir = _start(args, config, args.seed)
     sampler = RayKnightSampler(args.w)
-    # the window widens until both end sites read l+ = 0 in every replica; it depends on
-    # the inputs and the seed only, so the output does not depend on the thread count
+    blocks = map_blocks(args.replicas, DEFAULT_BLOCK, args.threads, lambda b, count: sampler.batch_profile_sums(
+        args.x, args.m, count, substream(args.seed, 1, b)))
+    nonzero, total, squares = (sum(sums, Counter()) for sums in zip(*blocks))  # only the sites with a nonzero sum
+    # the window's margin doubles from 64 until both end sites lie past every profile's end
+    lo, hi = min(args.x, 0) - 2 * args.m, max(args.x, 0) + 2 * args.m
     margin = 64
-    while True:
-        y_lo, y_hi = min(args.x, 0) - 2 * args.m - margin, max(args.x, 0) + 2 * args.m + margin
-
-        def block(b, count):
-            return sampler.batch_profile_window(args.x, args.m, count, substream(args.seed, 1, b), y_lo, y_hi)
-
-        blocks = map_blocks(args.replicas, DEFAULT_BLOCK, args.threads, block)
-        if not any(got[y].any() for got in blocks for y in (y_lo, y_hi)):
-            break
-        del blocks  # free this pass before the wider one runs
-        if margin > 2 * args.m + ABSORB_CAP_SLACK:
-            raise SimulationBudgetError("profile failed to absorb within its widest window")
+    while margin <= max(max(nonzero) - hi, lo - min(nonzero)):
         margin *= 2
     rows = []
-    for y in range(y_lo, y_hi + 1):
-        vals = np.concatenate([got[y] for got in blocks]).astype(np.float64)
-        mean, se = mean_se(vals)
-        rows.append({"y": y, "mean": mean, "se": se, "zero_frac": float((vals == 0).mean())})
+    for y in range(lo - margin, hi + margin + 1):
+        mean, se = mean_se(args.replicas, total[y], squares[y])
+        rows.append({"y": y, "mean": mean, "se": se, "zero_frac": (args.replicas - nonzero[y]) / args.replicas})
     prof_path = outdir / "profile.csv"
     write_csv(prof_path, "profile", rows)
     _finish(args, [prof_path])

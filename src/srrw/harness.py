@@ -2,8 +2,9 @@
 
 Replicas are partitioned into fixed-size blocks; block b of campaign point p
 draws from the Philox stream SeedSequence(master_seed, spawn_key=(kind, p, b)).
-Endpoint blocks draw from (kind, 0, b) alone: each block walks once, to the
-largest n^2 of the ladder, and every X(n^2) is read from that one walk.
+Ladder campaigns (endpoint, profile-shape) draw from (kind, 0, b) alone: each
+block walks once, to the largest step count of the ladder, and every point
+is read from that one walk.
 Workers only decide which thread runs which block, reductions happen in block
 order, and all estimators reduce integer counts, so reports are bit-identical
 under any thread budget.
@@ -88,10 +89,12 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-def mean_se(values: np.ndarray):
-    """Sample mean of values and its standard error; the error of a single value is 0.0."""
-    n = len(values)
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+def mean_se(n: int, total: int, squares: int):
+    """Sample mean and its standard error from the exact sum and sum of squares
+    of n integers: the mean and the sample variance correctly rounded, the error
+    sqrt(var) / sqrt(n) as numpy's std(ddof=1) gives it; 0.0 for a single value."""
+    var = (n * squares - total * total) / (n * (n - 1)) if n > 1 else 0.0
+    return total / n, math.sqrt(var) / math.sqrt(n)
 
 
 def _rate(hits, n: int):
@@ -307,35 +310,32 @@ def _campaign(cls):
 # -- endpoint law (diffusive limit) ---------------------------------------------
 
 
-def position_histograms(cfg, w: WeightFunction, steps: list, kind: int) -> list:
-    """Counts {x: replicas with X(s) = x} over cfg.replicas walks, one dict per
-    step count s in steps.  Block b walks once, to max(steps), on substream
-    (kind, 0, b), and reads every X(s) on the way."""
+def walk_ladder(cfg, steps, kind: int, read, want_lplus: bool = False) -> list:
+    """read(s, pos, lplus, site_lo) at each step count s in steps, for each
+    block of cfg.replicas walks: one list per s, in block order.  Block b walks
+    once, to max(steps), on substream (kind, 0, b), and reads every s on the way."""
+    blocks = _blocks(cfg, cfg.replicas, (kind, 0), lambda count, seed: vw.final_positions(
+        cfg.weight_fn(), max(steps), count, seed, want_lplus, steps, read)[3])
+    return [[snaps[s] for snaps in blocks] for s in steps]
 
-    def block(count, seed):
-        snaps = vw.final_positions(w, max(steps), count, seed, snapshots=steps)[3]
-        return [np.unique(snaps[s], return_counts=True) for s in steps]
 
-    counters = [{} for _ in steps]
-    for hists in _blocks(cfg, cfg.replicas, (kind, 0), block):
-        for counter, (vals, cnts) in zip(counters, hists):
-            for v, c in zip(vals.tolist(), cnts.tolist()):
-                counter[v] = counter.get(v, 0) + c
-    return counters
+def position_histograms(cfg, steps: list, kind: int) -> list:
+    """(values, counts) of X(s) over cfg.replicas walks, values ascending, one
+    pair per step count s in steps, read by walk_ladder."""
+    ladder = walk_ladder(cfg, steps, kind, lambda s, pos, *_: np.bincount(pos + s, minlength=2 * s + 1))
+    totals = [sum(blocks) for blocks in ladder]  # replicas with X(s) = x at x + s, over the blocks
+    return [(np.flatnonzero(c) - s, c[c > 0]) for s, c in zip(steps, totals)]
 
 
 @_campaign(EndpointConfig)
 def endpoint_law(cfg: EndpointConfig):
     """Empirical law of X(n^2)/n against U(-1,1) along the n ladder."""
     exp = load_expectations()
-    w = cfg.weight_fn()
     rows, hist_rows, checks = [], [], []
     ks_values = []
     replicas = cfg.replicas
-    counters = position_histograms(cfg, w, [n * n for n in cfg.n_ladder], KIND_ENDPOINT)
-    for n, counter in zip(cfg.n_ladder, counters):
-        values = np.array(sorted(counter))
-        counts = np.array([counter[v] for v in values.tolist()], dtype=np.int64)
+    hists = position_histograms(cfg, [n * n for n in cfg.n_ladder], KIND_ENDPOINT)
+    for n, (values, counts) in zip(cfg.n_ladder, hists):
         ks = ks_vs_uniform(values, counts, float(n))
         mean = float((values * counts).sum()) / replicas / n
         var = float((values**2 * counts).sum()) / replicas / n**2 - mean**2
@@ -360,10 +360,10 @@ def endpoint_law(cfg: EndpointConfig):
 @_campaign(LcltTableConfig)
 def local_clt_table(cfg: LcltTableConfig):
     """n * P(X(n^2) = x) over the admissible parity grid, with flags."""
-    w = cfg.weight_fn()
     n = cfg.n
     replicas = cfg.replicas
-    (counter,) = position_histograms(cfg, w, [n * n], KIND_LCLT_TABLE)
+    ((values, counts),) = position_histograms(cfg, [n * n], KIND_LCLT_TABLE)
+    counter = dict(zip(values.tolist(), counts.tolist()))
 
     grid = cfg.grid()
     observed_max = max(abs(v) for v in counter) if counter else 0
@@ -399,22 +399,20 @@ def local_clt_table(cfg: LcltTableConfig):
 
 @_campaign(ProfileShapeConfig)
 def profile_shape(cfg: ProfileShapeConfig):
-    """Per-replica sup deviation of l+(k, .)/sqrt(k) from the triangular
-    profile, per ladder point; medians must decrease along the ladder."""
-    w = cfg.weight_fn()
+    """Per-replica sup deviation of l+(k, .)/sqrt(k) from the triangular profile,
+    per ladder point, read by walk_ladder; medians must decrease along the ladder."""
+
+    def sup_dev(k, pos, lp, site_lo):
+        sq = math.sqrt(k)
+        sites = site_lo + np.arange(lp.shape[1])
+        target = 0.5 * np.clip(1.0 - np.abs(sites) / sq, 0.0, None)
+        return np.abs(lp / sq - target[None, :]).max(axis=1)
+
     rows, checks = [], []
     medians = []
-    for ip, k in enumerate(cfg.k_ladder):
-        sq = math.sqrt(k)
-
-        def block(count, seed):
-            pos, lp, site_lo = vw.final_positions(w, k, count, seed, want_lplus=True)
-            sites = site_lo + np.arange(lp.shape[1])
-            target = 0.5 * np.clip(1.0 - np.abs(sites) / sq, 0.0, None)
-            dev = np.abs(lp / sq - target[None, :]).max(axis=1)
-            return dev
-
-        devs = np.concatenate(_blocks(cfg, cfg.replicas, (KIND_PROFILE_SHAPE, ip), block))
+    ladder = walk_ladder(cfg, cfg.k_ladder, KIND_PROFILE_SHAPE, sup_dev, want_lplus=True)
+    for k, blocks in zip(cfg.k_ladder, ladder):
+        devs = np.concatenate(blocks)
         med = float(np.median(devs))
         p95 = float(np.quantile(devs, 0.95))
         rows.append({"k": k, "replicas": cfg.replicas, "median_dev": med, "p95_dev": p95})
@@ -468,10 +466,10 @@ def tail_bounds_suite(cfg: TailConfig):
         times, _, unfin = vw.edge_hit_times(
             w, 0, [m], cfg.cross_replicas, substream(cfg.master_seed, KIND_TAILS, 900), t_cap=400 * m * m
         )
-        t_walk = times[times[:, 0] > 0, 0].astype(np.float64)
+        t_walk = times[times[:, 0] > 0, 0]
         t_rk = np.concatenate(_blocks(cfg, cfg.cross_replicas, (KIND_TAILS, 901),
-                                      functools.partial(sampler.batch_total_time, 0, m))).astype(np.float64)
-        (mw, sw), (mr, sr) = mean_se(t_walk), mean_se(t_rk)
+                                      functools.partial(sampler.batch_total_time, 0, m)))
+        (mw, sw), (mr, sr) = (mean_se(len(t), int(t.sum()), int(t @ t)) for t in (t_walk, t_rk))
         tables["tail_cross"] = [{"m": m, "statistic": "mean_T", "walk_value": mw, "walk_se": sw,
                                  "rk_value": mr, "rk_se": sr}]
         joint = math.hypot(sw, sr)
@@ -588,8 +586,7 @@ def w_boundary_terms(cfg: WTermsConfig):
             rows.append({"n": n, "k": k, "m": m, "threshold": threshold, "hits": hits,
                          "replicas": cfg.replicas, "freq": freq, "se": se,
                          "upper95": upper95(hits, cfg.replicas)})
-        se = _rate(h1, cfg.replicas)[1]
-        joint = 3 * math.hypot(se, se) + 1e-12
+        joint = 3 * math.hypot(rows[-2]["se"], rows[-1]["se"]) + 1e-12  # the two rows just added
         checks.append(CheckResult(f"wterms_symmetry_n{n}", abs(h1 - h2) / cfg.replicas <= joint,
                                   f"freq1 {h1 / cfg.replicas:.2e} freq2 {h2 / cfg.replicas:.2e}"))
     for k in (1, 2):

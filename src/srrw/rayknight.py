@@ -23,6 +23,7 @@ joint profile law.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -115,6 +116,15 @@ class RayKnightSampler:
             if y in out:
                 out[y][act] = lact
         return out
+
+    def batch_profile_sums(self, x: int, m: int, replicas: int, seed):
+        """Counters y -> count of nonzero values, sum and sum of squares of
+        l+(T, y) over the replicas, for every site y of one sweep per side to
+        absorption; each site's sums are int64, exact while replicas * max(l+)^2 < 2^63."""
+        nonzero, total, squares = Counter({x: replicas}), Counter({x: replicas * m}), Counter({x: replicas * m * m})
+        for _, y, _, lact in self._sweep(x, m, replicas, _as_generator(seed)):
+            nonzero[y], total[y], squares[y] = int(np.count_nonzero(lact)), int(lact.sum()), int(lact @ lact)
+        return nonzero, total, squares
 
     def batch_tail_events(self, m: int, replicas: int, seed, g_m: float):
         """Frequencies of the range/profile tail events at T+_{0,m}.

@@ -258,25 +258,26 @@ class _Lockstep:
 
 
 def final_positions(w: WeightFunction, steps: int, replicas: int, seed, want_lplus: bool = False,
-                    snapshots=()):
+                    snapshots=(), read=lambda k, pos, lplus, site_lo: pos):
     """Run `steps` lockstep steps; returns positions (and l+ rows if asked).
 
     Returns (pos, lplus, site_lo): lplus is (replicas, width) or None;
     site_lo is the site of the first l+ column.  With `snapshots`, returns
-    (pos, lplus, site_lo, {k: positions at time k}).
+    (pos, lplus, site_lo, {k: read(k, pos, lplus, site_lo) at time k}), where
+    read gets the walk's own l+ rows, not a copy.
     """
     asked = {int(s) for s in snapshots}
     snap_at = {s for s in asked if 1 <= s <= steps}
 
     def run(width, dmax):
         walk = _Lockstep(w, replicas, width, dmax, seed, want_lplus=want_lplus)
+        lplus = None if walk.LP is None else walk.LP.reshape(replicas, width)  # a view the steps update
         snaps, t = {}, 0
         for stop in sorted(snap_at | {steps}):  # so no tile crosses a snapshot time
             walk.run(stop - t)
             t = stop
             if stop in snap_at:
-                snaps[stop] = walk.positions()
-        lplus = None if walk.LP is None else walk.LP.reshape(replicas, width)
+                snaps[stop] = read(stop, walk.positions(), lplus, -walk.off)
         out = (walk.positions(), lplus, -walk.off)
         return out + (snaps,) if asked else out
 

@@ -115,10 +115,70 @@ def test_profile_window_holds_the_whole_profile(tmp_path):
 def test_profile_without_absorption_exits_2(tmp_path, capsys, monkeypatch):
     from srrw.rayknight import RayKnightSampler
 
-    # a profile that never absorbs stops the window's widening
+    # a profile that never absorbs stops its sweep at 4m + |x| + 4096 sites
     monkeypatch.setattr(RayKnightSampler, "_advance", lambda self, idx, rng: idx.copy())
     assert run_cli(["profile", "--w", "exp:1", "--m", "1", "--replicas", "5", "--out", str(tmp_path / "p")]) == 2
-    assert "error: profile failed to absorb within its widest window" in capsys.readouterr().err
+    assert "sweep failed to absorb within cap" in capsys.readouterr().err
+
+
+def _profile_rows(path) -> list:
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("w,m", [("exp:1", 5), ("ramp:1:1", 5), ("ramp:1:1", 400)])
+@pytest.mark.parametrize("x", [-3, 0, 2])
+def test_profile_csv_matches_the_profile_window(tmp_path, monkeypatch, w, m, x):
+    # 700 replicas in blocks of 300: block b of profile.csv draws from substream(seed, 1, b);
+    # at m = 400 the ramp:1:1 window needs more than the first margin of 64
+    from srrw import cli
+    from srrw.harness import substream
+    from srrw.rayknight import RayKnightSampler
+    from srrw.weights import WeightFunction
+
+    monkeypatch.setattr(cli, "DEFAULT_BLOCK", 300)
+    replicas, seed = 700, 11
+    assert run_cli(["profile", "--w", w, "--x", str(x), "--m", str(m), "--replicas", str(replicas),
+                    "--seed", str(seed), "--out", str(tmp_path / "p")]) == 0
+    rows = _profile_rows(tmp_path / "p" / "profile.csv")
+    y_lo, y_hi = int(rows[0]["y"]), int(rows[-1]["y"])
+    # the window rule: a margin of 64 doubled until both end sites read l+ = 0 in every replica
+    margin = y_hi - max(x, 0) - 2 * m
+    assert min(x, 0) - 2 * m - y_lo == margin and margin >= 64 and margin & (margin - 1) == 0
+    sampler = RayKnightSampler(WeightFunction.parse(w))
+    blocks = [sampler.batch_profile_window(x, m, min(300, replicas - start), substream(seed, 1, b), y_lo, y_hi)
+              for b, start in enumerate(range(0, replicas, 300))]
+    ends = [np.concatenate([got[y] for got in blocks]) for y in (y_lo + margin // 2, y_hi - margin // 2)]
+    assert margin == 64 or any(end.any() for end in ends)  # half the margin would cut a profile short
+    if m == 400:
+        assert margin > 64  # this case widens the window
+    assert [int(r["y"]) for r in rows] == list(range(y_lo, y_hi + 1))
+    for r in rows:
+        vals = np.concatenate([got[int(r["y"])] for got in blocks]).astype(np.float64)
+        assert float(r["mean"]) == vals.mean() and float(r["zero_frac"]) == (vals == 0).mean(), r
+        se = vals.std(ddof=1) / np.sqrt(replicas)
+        assert abs(float(r["se"]) - se) <= 1e-15 * se, r
+    assert float(rows[0]["zero_frac"]) == float(rows[-1]["zero_frac"]) == 1.0
+
+
+def test_profile_sweeps_each_block_once(tmp_path, monkeypatch):
+    from srrw import cli
+    from srrw.rayknight import RayKnightSampler
+
+    calls = []
+    sweep = RayKnightSampler._sweep
+
+    def counted(self, x, m, R, *args, **kwargs):
+        calls.append((x, m, R))
+        return sweep(self, x, m, R, *args, **kwargs)
+
+    monkeypatch.setattr(RayKnightSampler, "_sweep", counted)
+    monkeypatch.setattr(cli, "DEFAULT_BLOCK", 300)
+    # at m = 400 the ramp:1:1 window needs more than the first margin of 64
+    assert run_cli(["profile", "--w", "ramp:1:1", "--m", "400", "--replicas", "700", "--seed", "3",
+                    "--out", str(tmp_path / "p")]) == 0
+    assert calls == [(0, 400, 300), (0, 400, 300), (0, 400, 100)]
+    assert int(_profile_rows(tmp_path / "p" / "profile.csv")[0]["y"]) < -2 * 400 - 64
 
 
 def test_lclt_over_budget_names_the_largest_n(tmp_path, capsys):

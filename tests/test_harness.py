@@ -29,12 +29,14 @@ from srrw.harness import (
     _LEAST,
     CONFIG_KINDS,
     KIND_ENDPOINT,
+    KIND_PROFILE_SHAPE,
     ks_vs_uniform,
     load_expectations,
     mean_se,
     substream,
     upper95,
 )
+from srrw.rayknight import RayKnightSampler
 
 
 def test_expectations_load_packaged_file():
@@ -118,6 +120,40 @@ def test_profile_shape_smoke():
     assert rep.passed()
 
 
+SHAPE_LADDER = dict(master_seed=6, k_ladder=(100, 400, 900), replicas=50, block_size=20, threads=2)
+
+
+def test_profile_shape_reads_one_walk_per_block():
+    # every ladder point reads the l+ rows of block b's walk on stream (kind, 0, b) at its own k
+    cfg = ProfileShapeConfig(**SHAPE_LADDER)
+    rows = profile_shape(cfg).tables["profile_shape"]
+    w = cfg.weight_fn()
+    for k, row in zip(cfg.k_ladder, rows):
+        sq = math.sqrt(k)
+        devs = []
+        for b, start in enumerate(range(0, cfg.replicas, cfg.block_size)):
+            count = min(cfg.block_size, cfg.replicas - start)
+            _, lp, site_lo = vw.final_positions(w, k, count, substream(cfg.master_seed, KIND_PROFILE_SHAPE, 0, b),
+                                                want_lplus=True)
+            target = 0.5 * np.clip(1.0 - np.abs(site_lo + np.arange(lp.shape[1])) / sq, 0.0, None)
+            devs.append(np.abs(lp / sq - target).max(axis=1))
+        devs = np.concatenate(devs)
+        assert (row["median_dev"], row["p95_dev"]) == (float(np.median(devs)), float(np.quantile(devs, 0.95))), k
+
+
+def test_profile_shape_walks_each_block_once(monkeypatch):
+    calls = []
+    walk = vw.final_positions
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(vw, "final_positions", counted)
+    profile_shape(ProfileShapeConfig(**SHAPE_LADDER))
+    assert calls == [900, 900, 900]  # three blocks, each walked to the largest k
+
+
 def test_tail_suite_small_ladder():
     cfg = TailConfig(master_seed=7, m_ladder=(200, 400), replicas_per_m=(400, 400),
                      cross_m=20, cross_replicas=2000)
@@ -139,6 +175,22 @@ def test_wterms_smoke():
         assert 0.0 <= r["freq"] <= 1.0
     names = {c.name for c in rep.checks}
     assert "wterms_monotone_k1" in names and "wterms_symmetry_n30" in names
+
+
+@pytest.mark.parametrize("h1,h2,passed", [(0, 1, True), (0, 200, False)])
+def test_wterms_symmetry_counts_both_errors(monkeypatch, h1, h2, passed):
+    # (h1, h2) replicas of 20000 have W1, W2 above the threshold; the verdict must not
+    # depend on which of the two is which
+    verdicts = []
+    for a, b in ((h1, h2), (h2, h1)):
+        def sums(self, x, m, count, seed, boundary, a=a, b=b):
+            return (np.arange(count) < a) * 10**9, (np.arange(count) < b) * 10**9
+
+        monkeypatch.setattr(RayKnightSampler, "batch_boundary_sums", sums)
+        rep = w_boundary_terms(WTermsConfig(n_ladder=(30,), replicas=20_000))
+        assert [r["hits"] for r in rep.tables["wterms"]] == [a, b]
+        verdicts += [c.passed for c in rep.checks if c.name == "wterms_symmetry_n30"]
+    assert verdicts == [passed, passed]
 
 
 def test_inverse_time_small():
@@ -193,9 +245,11 @@ def test_config_refuses_one_below_least(cls, name):
 
 
 def test_mean_se():
-    values = np.array([1.0, 2.0, 6.0])
-    assert mean_se(values) == (3.0, math.sqrt(7.0 / 3.0))
-    assert mean_se(np.array([5.0])) == (5.0, 0.0)
+    # the values 1, 2, 6, then 1e8 plus each: exact integer sums lose no digits to the shift
+    assert mean_se(3, 9, 41) == (3.0, math.sqrt(7.0 / 3.0))
+    big = [10**8 + v for v in (1, 2, 6)]
+    assert mean_se(3, sum(big), sum(v * v for v in big)) == (100000003.0, math.sqrt(7.0 / 3.0))
+    assert mean_se(1, 5, 25) == (5.0, 0.0)
 
 
 def test_campaign_dispatch_and_config_round_trip():

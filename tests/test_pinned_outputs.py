@@ -75,11 +75,11 @@ PINNED = {
         "results.json": "f9eac5d761ea1b9ab8ad3223bc2ace73b3504e1b7816f7256c8031caaf0aeb4b",
     },
     "profile": {
-        "profile.csv": "5c0a3e8c9d1b9d312a387b647782dd1838dba2d99a0b2903e0299ec7832a71a2",
+        "profile.csv": "9a8026c7eb6a93a5ff4e14bd25cad2f49b711845b6eb15e6c4961d9e6fb8d20f",
     },
     "profile-shape": {
-        "profile_shape.csv": "a99347d6f9a0b26ad85d15dda64f5af9790b09cbaba89baeeffce1edb052ab62",
-        "results.json": "085b74b6e7acae2ab259dfda7d25b1b02f7f04f51dd5a163914db45d98d3fc87",
+        "profile_shape.csv": "a451214727c54d5de8eb3420f166c51cc7b2c3e69ef8c4a975cd26db2037bc89",
+        "results.json": "7098f259435443e333223f11cf9ce0a4694aaff4e94df3a044a99034ab9db1ad",
     },
     "simulate": {
         "localtimes.csv": "e75711bc97a03a25170f85e72ae8333db314f60b731aa98c81262dd32fbf7af6",
@@ -97,13 +97,18 @@ PINNED = {
 }
 
 
-# The endpoint case's first ladder point, n = 6: the sha256 of its rows
-# (header excluded) as written when every ladder point walked its own stream
-# (1, point, block).  Point 0 reads the walks of stream (1, 0, block) either
-# way, and a snapshot moves no draw, so these rows never change.
+# The first ladder point of the endpoint case (n = 6) and of the profile-shape
+# case (k = 400): the sha256 of its rows (header excluded) as written when
+# every ladder point walked its own stream (kind, point, block).  Point 0 reads
+# the walks of stream (kind, 0, block) either way, a snapshot moves no draw, and
+# a wider l+ window only adds sites where l+ = 0 and the triangular target is 0,
+# so these rows never change.
 FIRST_POINT_ROWS = {
     "endpoint.csv": "d962dedbfb63c46f22667722147c58387a69c4ae3e1c0a53e0f524f6db8dd578",
     "endpoint_hist.csv": "460af56a619a132c77c884ccaa44634aa5a46c8e159be9bb520c627bb0f24d0e",
+}
+FIRST_PROFILE_SHAPE_ROWS = {
+    "profile_shape.csv": "39dc2006717eb425834c2409d537c09ed51f5d29ca1a0d22a0ea4f2198e8c46c",
 }
 
 def _digests(kind: str, outdir: Path) -> dict:
@@ -139,11 +144,21 @@ def test_pinned_outputs(tmp_path, kind):
 
 
 
+def _rows_digest(path: Path, prefix: bytes):
+    rows = [line for line in path.read_bytes().splitlines(keepends=True) if line.startswith(prefix)]
+    return rows and hashlib.sha256(b"".join(rows)).hexdigest()
+
+
 def test_first_endpoint_point_unchanged(tmp_path):
     _run("endpoint", tmp_path)
     for name, digest in FIRST_POINT_ROWS.items():
-        rows = [line for line in (tmp_path / name).read_bytes().splitlines(keepends=True) if line.startswith(b"6,")]
-        assert rows and hashlib.sha256(b"".join(rows)).hexdigest() == digest, name
+        assert _rows_digest(tmp_path / name, b"6,") == digest, name
+
+
+def test_first_profile_shape_point_unchanged(tmp_path):
+    _run("profile-shape", tmp_path)
+    for name, digest in FIRST_PROFILE_SHAPE_ROWS.items():
+        assert _rows_digest(tmp_path / name, b"400,") == digest, name
 
 if __name__ == "__main__":
     import contextlib
