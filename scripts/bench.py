@@ -43,7 +43,7 @@ profile.csv, which must agree between trees), and of one
 PROFILE_SHAPE_REPLICAS replicas (CPU time and a sha256 of its first row).  The first DP run of each tree
 saves its occupied box; the report's "dp_agreement" gives, per N, both
 trees' box and truncated_mass and the largest absolute cell difference
-between them.  Every tree named (this
+between them, a cell outside one tree's box counting as 0 there.  Every tree named (this
 checkout as "change", --baseline as "parent") is run with PYTHONPATH pointing
 at its own src/.  There are REPEATS pairs of runs per case, alternating which
 tree goes first; the medians, every sample and the parent/change ratio of
@@ -347,20 +347,26 @@ def child_profile_shape() -> dict:
 
 def dp_agreement(saved: dict) -> dict:
     """Per N: each tree's box and truncated_mass, and the largest absolute
-    cell difference between the trees' saved boxes (None if the boxes differ)."""
+    cell difference between the trees' saved boxes, placed on their common
+    grid (both trees size it alike), where a cell outside a box counts as 0."""
     import numpy as np
 
     out = {}
     for n in SIZES:
         runs = {label: saved[label][n] for label in saved}
-        arrs = {label: np.load(r["path"]) for label, r in runs.items()}
-        same = len({tuple(r["box"]) for r in runs.values()}) == 1
-        first, *rest = arrs.values()
+        boxes = np.array([r["box"] for r in runs.values()])
+        alo, blo = boxes[:, 0].min(), boxes[:, 2].min()
+        grids = []
+        for (a0, a1, b0, b1), r in zip(boxes, runs.values()):
+            grid = np.zeros((boxes[:, 1].max() - alo, boxes[:, 3].max() - blo))
+            grid[a0 - alo:a1 - alo, b0 - blo:b1 - blo] = np.load(r["path"])
+            grids.append(grid)
+        first, *rest = grids
         out[str(n)] = {
             "box": {label: r["box"] for label, r in runs.items()},
             "truncated_mass": {label: r["truncated_mass"] for label, r in runs.items()},
-            "box_equal": same,
-            "max_abs_cell_diff": max((float(np.abs(a - first).max()) for a in rest), default=0.0) if same else None,
+            "box_equal": bool((boxes == boxes[0]).all()),
+            "max_abs_cell_diff": max((float(np.abs(g - first).max()) for g in rest), default=0.0),
         }
     return out
 

@@ -34,7 +34,7 @@ ARG_RANGES = {
     "simulate": [("steps", ">=", 0), ("seed", ">=", 0)],
     "stationary": [("window", ">=", 1)],
     "profile": [("m", ">=", 1), ("replicas", ">=", 1), ("threads", ">=", 1), ("seed", ">=", 0)],
-    "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf)],
+    "lclt": [("N", ">=", 1), ("box", ">", 0), ("box", "<", math.inf), ("max_sup", ">", 0)],
 }
 _OPS = {">=": operator.ge, "<=": operator.le, ">": operator.gt, "<": operator.lt}
 
@@ -184,7 +184,7 @@ def cmd_lclt(args) -> int:
     dump_json(json_path, payload)
     _finish(args, [grid_path, json_path])
     print(f"lclt: N={args.N} sup_scaled_error={comparison.sup_scaled_error:.4f}, outputs in {outdir}")
-    if args.max_sup is not None and comparison.sup_scaled_error >= args.max_sup:
+    if args.max_sup is not None and comparison.sup_scaled_error > args.max_sup:
         return TOLERANCE_ERROR
     return 0
 
@@ -275,8 +275,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     for name, op, bound in ARG_RANGES.get(args.command, ()):
-        if not _OPS[op](getattr(args, name), bound):  # a NaN --box fails too
-            print(f"error: --{name} {getattr(args, name)} must be {op} {bound}", file=sys.stderr)
+        value = getattr(args, name)
+        if value is not None and not _OPS[op](value, bound):  # NaN fails every bound; None is an unset option
+            print(f"error: --{name.replace('_', '-')} {value} must be {op} {bound}", file=sys.stderr)
             return USAGE_ERROR
     try:
         return args.func(args)

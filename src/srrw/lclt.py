@@ -26,6 +26,16 @@ on one thread.  BLAS's summation order replaces the atom order: the box is
 unchanged and cells agree with an atom-by-atom update to 1e-15 absolute, but
 the last bits depend on the BLAS and on the window bounds.
 
+The sd-cap clip is symmetric in value space on both axes (_clip), so on a
+point-symmetric step law, as stationary_step_law returns, P(a, b) = P(-a, -b)
+and the box stay symmetric at every step.  The DP then folds: the products
+fill only the rows a >= 0, each step mirrors the few rows below the centre
+that the next step's products read, the truncated-mass strip sums read the
+rows below the centre from their mirrors, and the whole lower half is
+mirrored once after the last step.  That halves the gemm work, and the
+returned law is exactly point-symmetric.  Any other law runs every row
+through the same products.
+
 The limiting density of (Y/sqrt(N), S/N^{3/2}) has covariance
 sigma^2 * [[1, 1/2], [1/2, 1/3]]; inverting gives the quadratic form
 (2/sigma^2)(u^2 + 3v^2 - 3uv), i.e. the cross term is negative.  The +3uv
@@ -40,7 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SupportBudgetError
+from .errors import ConvergenceError, SupportBudgetError
 from .eta import EtaKernel, Lattice1DDistribution, stationary_distribution
 from .weights import WeightFunction
 
@@ -48,16 +58,27 @@ DEFAULT_SD_CAP = 8.5
 _CLIP_SLACK = 48
 _BAND_ROWS = 12  # target rows per banded product of the DP
 _GEMM_MNK = 1 << 18  # largest m*n*k that OpenBLAS runs on one thread
+STEP_LAW_SYMMETRY_TOL = 1e-10  # largest |P(v) - P(-v)| of a solved step law that averaging may remove
 
 
 def stationary_step_law(w: WeightFunction) -> Lattice1DDistribution:
-    """The symmetric half-integer step law derived from the stationary
-    distribution of the embedded chain (the chain state shifted by +1/2) on
-    eta.DEFAULT_WINDOW, with atoms of mass 1e-18 or less dropped."""
-    res = stationary_distribution(EtaKernel(w))
-    law = res.r_law.truncated(1e-18)
-    probs = law.probs / law.probs.sum()
-    return Lattice1DDistribution(law.lo, probs, 0.5)
+    """The half-integer step law derived from the stationary distribution of
+    the embedded chain (the chain state shifted by +1/2) on eta.DEFAULT_WINDOW.
+
+    That law is symmetric for every weight, so the solved one is averaged with
+    its mirror, which makes probs == probs[::-1] exact on a support symmetric
+    about 0; a solve more than STEP_LAW_SYMMETRY_TOL from its mirror raises
+    ConvergenceError instead.  Atoms of mass 1e-18 or less are then dropped,
+    in mirror pairs."""
+    law = stationary_distribution(EtaKernel(w)).r_law
+    k = max(-law.lo, law.lo + len(law.probs))  # the values -k + 1/2 .. k - 1/2 hold the support and its mirror
+    probs = np.zeros(2 * k)
+    probs[law.lo + k:law.lo + k + len(law.probs)] = law.probs
+    defect = float(np.abs(probs - probs[::-1]).max())
+    if defect > STEP_LAW_SYMMETRY_TOL:
+        raise ConvergenceError(f"stationary step law is {defect:.3g} from its mirror, above {STEP_LAW_SYMMETRY_TOL:g}")
+    law = Lattice1DDistribution(-k, (probs + probs[::-1]) / 2, 0.5).truncated(1e-18)
+    return Lattice1DDistribution(law.lo, law.probs / law.probs.sum(), 0.5)
 
 
 @dataclass
@@ -170,6 +191,23 @@ def _dp_grid(h: np.ndarray, sigma: float, N: int, sd_cap: float):
     return c, w2, clip_a_final, clip_b_final, HA, HB, slack, HA * HB + 2 * slack
 
 
+def _clip(center: int, half: int, par: int) -> tuple:
+    """Index bounds [lo, hi) of the sd-cap clip on one axis: the cells i whose
+    values v = i - center + par/2 have |v| <= half + par/2, symmetric about 0
+    for either parity."""
+    return center - half - par, center + half + 1
+
+
+def _mirror_below(arr, center_a: int, center_b: int, par_a: int, par_b: int, lo: int, blo: int, bhi: int) -> None:
+    """Fill rows lo..center_a - 1 of a point-symmetric law's box, and the half
+    of row center_a left of center_b when par_a = 0, from their mirrors
+    (i, k) -> (2 center_a - par_a - i, 2 center_b - par_b - k)."""
+    top, left = 2 * center_a - par_a + 1, 2 * center_b - par_b + 1
+    arr[lo:center_a, blo:bhi] = arr[top - center_a:top - lo, left - bhi:left - blo][::-1, ::-1]
+    if par_a == 0:
+        arr[center_a, blo:center_b] = arr[center_a, left - center_b:left - blo][::-1]
+
+
 def _band_product(src, dst, band, HB: int, D: int, t0: int, s0: int, nA: int, W: int, spill: tuple) -> None:
     """Fill the box of nA rows by W columns starting at flat cell t0 of dst
     with the banded products of src's D-rows, read from flat cell s0, and
@@ -222,8 +260,11 @@ def exact_bivariate_pmf(
 ) -> BivariatePMF:
     """Exact joint law of (sum xi_j, sum j xi_j), j = 1..N, by convolution DP.
 
-    Mass clipped outside the sd_cap ellipse box (~1e-15 total) is tracked in
-    truncated_mass, never renormalized away.
+    Mass clipped outside the sd_cap box, symmetric about 0 on both axes
+    (~1e-15 total), is tracked in truncated_mass, never renormalized away.
+    On a step law with probs == probs[::-1] on a support symmetric about 0
+    the products run on the rows Y >= 0 only and the rest is mirrored, so
+    the result is exactly point-symmetric; any other law runs every row.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -258,6 +299,11 @@ def exact_bivariate_pmf(
     stale = (alo, ahi, blo, bhi)  # the box in nxt that still holds the law of two steps back
     par_a = par_b = 0
     truncated = 0.0
+    # a point-symmetric law keeps P(a, b) = P(-a, -b) and a symmetric box at every step: the
+    # products fill the rows a >= 0, from center_a up, and the rows below read their mirrors
+    fold = np.array_equal(h, -1 - h[::-1]) and np.array_equal(p, p[::-1])
+    split = center_a if fold else 0
+    first = len(p) // 2 if fold else 0  # the first atom whose clipped strips are summed
 
     for j in range(1, N + 1):
         wj = j - c
@@ -268,11 +314,23 @@ def exact_bivariate_pmf(
         shift_b = wj * h + cb
         clip_a = min(int(math.ceil(sd_cap * sigma * math.sqrt(j))) + _CLIP_SLACK, clip_a_final + h_span)
         clip_b = min(int(math.ceil(sd_cap * sigma * w2[j - 1])) + _CLIP_SLACK, clip_b_final)
-        ta_lo = max(alo + int(shift_a.min()), center_a - clip_a)
-        ta_hi = min(ahi + int(shift_a.max()), center_a + clip_a + 1)
-        tb_lo = max(blo + int(shift_b.min()), center_b - clip_b)
-        tb_hi = min(bhi + int(shift_b.max()), center_b + clip_b + 1)
-        for pi, sa, sb in zip(p, shift_a, shift_b):
+        a_lo, a_hi = _clip(center_a, clip_a, par_a_new)
+        b_lo, b_hi = _clip(center_b, clip_b, par_b_new)
+        ta_lo = max(alo + int(shift_a.min()), a_lo)
+        ta_hi = min(ahi + int(shift_a.max()), a_hi)
+        tb_lo = max(blo + int(shift_b.min()), b_lo)
+        tb_hi = min(bhi + int(shift_b.max()), b_hi)
+        assert not fold or (ta_lo + ta_hi, tb_lo + tb_hi) == (a_lo + a_hi, b_lo + b_hi)  # a symmetric box
+        top, left = 2 * center_a - par_a + 1, 2 * center_b - par_b + 1
+
+        def mass(r0, r1, c0, c1):
+            # the mass of cur[r0:r1, c0:c1], with the rows below split read from their mirrors
+            mid = min(max(r0, split), r1)
+            below = float(cur[top - mid:top - r0, left - c1:left - c0].sum()) if r0 < mid else 0.0
+            return float(cur[mid:r1, c0:c1].sum()) + below
+
+        # on a fold, the atoms h and -1 - h clip mirror strips of equal mass: take the atoms h >= 0 twice
+        for pi, sa, sb in zip(p[first:] * (1 + fold), shift_a[first:], shift_b[first:]):
             sa, sb = int(sa), int(sb)
             # source sub-box whose image lands inside the clipped target
             sa_lo = max(alo, ta_lo - sa)
@@ -280,22 +338,23 @@ def exact_bivariate_pmf(
             sb_lo = max(blo, tb_lo - sb)
             sb_hi = min(bhi, tb_hi - sb)
             if sa_lo >= sa_hi or sb_lo >= sb_hi:
-                truncated += pi * float(cur[alo:ahi, blo:bhi].sum())
+                truncated += pi * mass(alo, ahi, blo, bhi)
                 continue
             # clipped-off mass lives in the thin edge strips of the source box
             if (sa_lo, sa_hi, sb_lo, sb_hi) != (alo, ahi, blo, bhi):
                 off = (
-                    float(cur[alo:sa_lo, blo:bhi].sum())
-                    + float(cur[sa_hi:ahi, blo:bhi].sum())
-                    + float(cur[sa_lo:sa_hi, blo:sb_lo].sum())
-                    + float(cur[sa_lo:sa_hi, sb_hi:bhi].sum())
+                    mass(alo, sa_lo, blo, bhi)
+                    + mass(sa_hi, ahi, blo, bhi)
+                    + mass(sa_lo, sa_hi, blo, sb_lo)
+                    + mass(sa_lo, sa_hi, sb_hi, bhi)
                 )
                 truncated += pi * off
         # atom k moves a flat cell by h_k*D + par_a*HB + cb with D = HB + w_j: on rows of
         # length D it is a shift by h_k rows, and a block of target rows is band @ source rows
         D = HB + wj
-        nA, W = ta_hi - ta_lo, tb_hi - tb_lo
-        t0 = slack + ta_lo * HB + tb_lo
+        r_lo = max(ta_lo, split)
+        nA, W = ta_hi - r_lo, tb_hi - tb_lo
+        t0 = slack + r_lo * HB + tb_lo
         s0 = t0 - par_a * HB - cb - h_hi * D
         if min(nA, W) > 0:  # the clip can empty the box
             spill = (tb_lo - blo - int(shift_b.min()), bhi + int(shift_b.max()) - tb_hi)
@@ -304,10 +363,16 @@ def exact_bivariate_pmf(
         nxt[stale[0]:ta_lo] = nxt[ta_hi:stale[1]] = 0.0
         both = nxt[max(stale[0], ta_lo):min(stale[1], ta_hi)]
         both[:, stale[2]:tb_lo] = both[:, tb_hi:stale[3]] = 0.0
+        if fold:
+            # the next products read the box rows down to h_hi + par_a_new below the centre (a
+            # column shift that wraps reads the pad columns of the row below, which hold zeros)
+            _mirror_below(nxt, center_a, center_b, par_a_new, par_b_new, max(ta_lo, center_a - h_hi - 1), tb_lo, tb_hi)
         stale = (alo, ahi, blo, bhi)
         src, dst, cur, nxt = dst, src, nxt, cur
         alo, ahi, blo, bhi = ta_lo, ta_hi, tb_lo, tb_hi
         par_a, par_b = par_a_new, par_b_new
+    if fold:
+        _mirror_below(cur, center_a, center_b, par_a, par_b, alo, blo, bhi)
 
     return BivariatePMF(
         N=N,

@@ -228,6 +228,9 @@ def test_lclt_bad_law_writes_nothing(tmp_path):
 def test_lclt_tolerance_exit(tmp_path):
     out = tmp_path / "lf"
     assert run_cli(["lclt", "--N", "25", "--max-sup", "1e-9", "--out", str(out)]) == 1
+    # only a sup error that exceeds --max-sup fails the run, so equality passes
+    sup = json.loads((out / "lclt.json").read_text())["sup_scaled_error"]
+    assert run_cli(["lclt", "--N", "25", "--max-sup", repr(sup), "--out", str(tmp_path / "eq")]) == 0
 
 
 def test_campaign_and_manifest_rerun(tmp_path):
@@ -405,6 +408,8 @@ def test_bad_campaign_param_writes_nothing(tmp_path, capsys, kind, param, messag
                  id="argv12---seed -1 must be >= 0"),
     pytest.param(["profile", "--w", "exp:1", "--m", "3", "--seed", "-2"], "--seed -2 must be >= 0",
                  id="argv13---seed -2 must be >= 0"),
+    pytest.param(["lclt", "--N", "25", "--max-sup", "nan"], "--max-sup nan must be > 0",
+                 id="argv14---max-sup nan must be > 0"),
 ])
 def test_bad_argument_writes_nothing(tmp_path, capsys, argv, message):
     # refused before the manifest is written, not by a traceback or an empty run mid-way

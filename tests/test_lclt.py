@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import srrw.lclt as lclt
 from srrw import (
+    ConvergenceError,
     SupportBudgetError,
+    WeightFunction,
     ZeroMassError,
     conditional_sup_error,
     convolution_lowerbound_check,
@@ -17,7 +20,7 @@ from srrw import (
     stationary_step_law,
 )
 from srrw.eta import Lattice1DDistribution
-from srrw.lclt import _CLIP_SLACK, DEFAULT_SD_CAP, BivariatePMF, limit_exponent, limit_scale
+from srrw.lclt import _CLIP_SLACK, DEFAULT_SD_CAP, BivariatePMF, _clip, limit_exponent, limit_scale
 
 
 @pytest.fixture(scope="module")
@@ -162,10 +165,12 @@ def _ref_exact_bivariate_pmf(step_law, N, sd_cap=DEFAULT_SD_CAP, tile_cells=1 <<
         shift_b = wj * h + (par_b + wj - par_b_new) // 2
         clip_a = min(int(math.ceil(sd_cap * sigma * math.sqrt(j))) + _CLIP_SLACK, clip_a_final + h_span)
         clip_b = min(int(math.ceil(sd_cap * sigma * w2[j - 1])) + _CLIP_SLACK, clip_b_final)
-        ta_lo = max(alo + int(shift_a.min()), center_a - clip_a)
-        ta_hi = min(ahi + int(shift_a.max()), center_a + clip_a + 1)
-        tb_lo = max(blo + int(shift_b.min()), center_b - clip_b)
-        tb_hi = min(bhi + int(shift_b.max()), center_b + clip_b + 1)
+        a_lo, a_hi = _clip(center_a, clip_a, par_a_new)
+        b_lo, b_hi = _clip(center_b, clip_b, par_b_new)
+        ta_lo = max(alo + int(shift_a.min()), a_lo)
+        ta_hi = min(ahi + int(shift_a.max()), a_hi)
+        tb_lo = max(blo + int(shift_b.min()), b_lo)
+        tb_hi = min(bhi + int(shift_b.max()), b_hi)
         moves = []
         for pi, sa, sb in zip(p, shift_a, shift_b):
             sa, sb = int(sa), int(sb)
@@ -251,6 +256,83 @@ def test_dp_matches_reference(request, law_name, N, sd_cap):
         assert ahi - alo < N * h_span + 1
         assert bhi - blo < sum(abs(j - ref.c) for j in range(1, N + 1)) * h_span + 1
         assert ref.truncated_mass > 1e-4
+
+
+@pytest.mark.parametrize("spec", ["exp:1", "exp:0.3", "ramp:1:1"])
+def test_stationary_step_law_is_exactly_symmetric(spec):
+    law = stationary_step_law(WeightFunction.parse(spec))
+    assert law.offset == 0.5 and law.lo == -(len(law.probs) // 2) and len(law.probs) % 2 == 0
+    assert (law.probs == law.probs[::-1]).all()
+    assert law.probs.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_stationary_step_law_rejects_an_asymmetric_solve(monkeypatch, w_exp):
+    real = lclt.stationary_distribution
+
+    def skewed(skew):
+        def solve(kernel):
+            res = real(kernel)
+            probs = res.r_law.probs.copy()
+            probs[np.argmax(probs)] += skew
+            return dataclasses.replace(res, r_law=Lattice1DDistribution(res.r_law.lo, probs, 0.5))
+        return solve
+
+    # a defect below the tolerance is averaged away, one above it is an error
+    monkeypatch.setattr(lclt, "stationary_distribution", skewed(0.5 * lclt.STEP_LAW_SYMMETRY_TOL))
+    law = stationary_step_law(w_exp)
+    assert (law.probs == law.probs[::-1]).all()
+    monkeypatch.setattr(lclt, "stationary_distribution", skewed(2 * lclt.STEP_LAW_SYMMETRY_TOL))
+    with pytest.raises(ConvergenceError, match="from its mirror"):
+        stationary_step_law(w_exp)
+
+
+@pytest.mark.parametrize("law_name,N,sd_cap", [
+    ("exp", 1, DEFAULT_SD_CAP), ("exp", 2, DEFAULT_SD_CAP), ("exp", 7, DEFAULT_SD_CAP), ("exp", 31, 2.0),
+    ("ramp", 30, DEFAULT_SD_CAP), ("ramp", 31, DEFAULT_SD_CAP),
+])
+def test_symmetric_law_gives_a_point_symmetric_pmf(request, law_name, N, sd_cap):
+    law = request.getfixturevalue("step_law" if law_name == "exp" else "step_law_ramp")
+    got = exact_bivariate_pmf(law, N, sd_cap).occupied()
+    assert np.array_equal(got, got[::-1, ::-1])
+
+
+def dp_box_rows(law, N, sd_cap=DEFAULT_SD_CAP):
+    """The DP box's row count after each step, replayed from the Y support of the law and the shared clip."""
+    h = law.lo + np.flatnonzero(law.probs > 0)
+    sigma = math.sqrt(law.variance())
+    lo, hi, rows = 0, 1, []
+    for j in range(1, N + 1):
+        clip_lo, clip_hi = _clip(0, math.ceil(sd_cap * sigma * math.sqrt(j)) + _CLIP_SLACK, j % 2)
+        lo, hi = max(lo + h[0] + (j - 1) % 2, clip_lo), min(hi + h[-1] + (j - 1) % 2, clip_hi)
+        rows.append(int(hi - lo))
+    return rows
+
+
+SKEWED_LAWS = {
+    "one_sided": Lattice1DDistribution(0, np.array([0.3, 0.7]), 0.5),
+    "falling": Lattice1DDistribution(-3, np.array([0.3, 0.7]), 0.5),
+}
+
+
+@pytest.mark.parametrize("law_name,N", [("exp", 30), ("ramp", 31), ("one_sided", 30), ("falling", 7)])
+def test_fold_multiplies_half_the_rows(monkeypatch, request, law_name, N):
+    law = SKEWED_LAWS.get(law_name) or request.getfixturevalue("step_law" if law_name == "exp" else "step_law_ramp")
+    target_rows = []
+    band_product = lclt._band_product
+
+    def counting(src, dst, band, HB, D, t0, s0, nA, *rest):
+        target_rows.append(nA)
+        band_product(src, dst, band, HB, D, t0, s0, nA, *rest)
+
+    monkeypatch.setattr(lclt, "_band_product", counting)
+    pmf = exact_bivariate_pmf(law, N)
+    rows = dp_box_rows(law, N)
+    assert rows[-1] == pmf.box[1] - pmf.box[0]
+    if law_name in SKEWED_LAWS:
+        assert target_rows == rows
+    else:
+        assert len(target_rows) == N
+        assert all(n <= math.ceil(r / 2) + 1 for n, r in zip(target_rows, rows)), list(zip(target_rows, rows))
 
 
 def test_gaussian_predicted_center():
